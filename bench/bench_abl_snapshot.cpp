@@ -3,7 +3,11 @@
 // Three questions, one case per q:
 //
 //   1. checkpoint_mpps — how many reservoir entries per second does
-//      snapshot() serialize (in-memory image build, CRC included)?
+//      snapshot() serialize? That is the whole in-memory image build: a
+//      Sizer pass that only counts bytes, one Writer pass that appends
+//      the payload into the exactly-sized image behind its header, and
+//      the CRC-64 over the payload in place (PCLMUL folding where the
+//      CPU has it, the byte table otherwise).
 //   2. restore_mpps   — how fast does restore() rehydrate a fresh,
 //      identically configured reservoir from that image?
 //   3. ingest_with_ckpt_gain — ingest throughput with an *in-memory*

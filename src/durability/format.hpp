@@ -2,11 +2,13 @@
 //
 // One `serialize_state(Archive&, version)` member per composition serves
 // both directions: `Writer` appends each field to a byte buffer, `Reader`
-// consumes the same fields in the same order from a bounds-checked span.
-// The two classes expose identical method names taking references, so the
-// field list is written exactly once and cannot drift between save and
-// load. `Archive::kLoading` lets a composition run load-only fixups
-// (rebinding raw pointers, re-deriving scratch) under `if constexpr`.
+// consumes the same fields in the same order from a bounds-checked span,
+// and `Sizer` walks the save path only to count bytes (so snapshot() can
+// allocate the image once). All three expose identical method names
+// taking references, so the field list is written exactly once and
+// cannot drift between save and load. `Archive::kLoading` lets a
+// composition run load-only fixups (rebinding raw pointers, re-deriving
+// scratch) under `if constexpr`.
 //
 // Config fields — anything the constructor fixed (q, γ, capacities,
 // window sizes) — are recorded with check_u64/check_f64: the Writer emits
@@ -51,8 +53,14 @@ class SnapshotError : public std::runtime_error {
 /// durability call sites keep their historical spelling.
 using common::codec::crc64;
 
-/// Serializing archive: appends fields to an owned byte vector.
-class Writer {
+namespace detail {
+
+/// The save-side field encoding, written once for both save archives:
+/// every field method reduces to `Sink::append(p, n)`, so the Sizer's
+/// byte count and the Writer's output cannot disagree about a field's
+/// width.
+template <typename Sink>
+class SaveArchive {
  public:
   static constexpr bool kLoading = false;
 
@@ -66,7 +74,7 @@ class Writer {
   template <typename T>
   void pod(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    append(&v, sizeof v);
+    sink().append(&v, sizeof v);
   }
 
   /// Length-prefixed vector of trivially-copyable elements.
@@ -74,7 +82,7 @@ class Writer {
   void vec(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     put(static_cast<std::uint64_t>(v.size()));
-    if (!v.empty()) append(v.data(), v.size() * sizeof(T));
+    if (!v.empty()) sink().append(v.data(), v.size() * sizeof(T));
   }
 
   /// Config guard: records the value so the Reader can verify the
@@ -88,6 +96,44 @@ class Writer {
     throw SnapshotError(std::string("snapshot write: ") + what);
   }
 
+ private:
+  template <typename T>
+  void put(T v) {
+    static_assert(std::is_integral_v<T>);
+    sink().append(&v, sizeof v);
+  }
+  Sink& sink() { return static_cast<Sink&>(*this); }
+};
+
+}  // namespace detail
+
+/// Sizing archive: runs the save traversal and only adds up byte counts,
+/// touching no payload data. snapshot() uses it to allocate the image
+/// exactly once.
+class Sizer : public detail::SaveArchive<Sizer> {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  friend class detail::SaveArchive<Sizer>;
+  void append(const void* /*p*/, std::size_t n) noexcept { size_ += n; }
+  std::size_t size_ = 0;
+};
+
+/// Serializing archive: appends fields to an owned byte vector.
+class Writer : public detail::SaveArchive<Writer> {
+ public:
+  Writer() = default;
+
+  /// Pre-sized mode: the buffer starts with `prefix` zero bytes (room
+  /// for a header filled in later) and holds capacity for `payload`
+  /// more, so a payload of exactly that size is written without any
+  /// regrowth or second copy.
+  Writer(std::size_t prefix, std::size_t payload) {
+    buf_.reserve(prefix + payload);
+    buf_.resize(prefix);
+  }
+
   [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept {
     return buf_;
   }
@@ -96,13 +142,12 @@ class Writer {
   }
 
  private:
-  template <typename T>
-  void put(T v) {
-    static_assert(std::is_integral_v<T> || std::is_same_v<T, std::uint8_t>);
-    append(&v, sizeof v);
-  }
+  friend class detail::SaveArchive<Writer>;
   void append(const void* p, std::size_t n) {
-    common::codec::append(buf_, p, n);
+    // insert rather than codec::append's resize+memcpy: within reserved
+    // capacity this copies each byte once, with no zero-fill first.
+    const auto* b = static_cast<const std::byte*>(p);
+    buf_.insert(buf_.end(), b, b + n);
   }
   std::vector<std::byte> buf_;
 };

@@ -26,10 +26,18 @@
 // block was added; loading a v1 image leaves the governor at reset
 // defaults). snapshot() can write any supported version, which is how the
 // cross-version tests mint old images without archived fixtures.
+//
+// Build path: snapshot() runs serialize_state twice — first through a
+// Sizer that only counts bytes, then through a Writer pre-sized to
+// exactly header + payload that appends behind the 32 header bytes. The
+// header is filled in place and the CRC is taken over the payload in
+// place, so the payload is copied once and no buffer is regrown. A save
+// traversal that writes a different byte count than it sized is a bug
+// in the composition and throws SnapshotError rather than truncating.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -79,22 +87,30 @@ template <typename T>
   if (version < kMinSupportedVersion || version > kFormatVersion) {
     throw SnapshotError("snapshot: unsupported format version requested");
   }
-  Writer w;
-  // serialize_state is a read-only traversal on the save path; the
-  // non-const signature exists because the identical field list mutates
-  // on load.
-  const_cast<T&>(obj).serialize_state(w, version);
-  std::vector<std::byte> payload = w.take();
+  // serialize_state is a read-only traversal on the save path (the one
+  // exception, ConcurrentQMax's quiescing drain, is idempotent, so the
+  // second pass writes the state the first pass sized); the non-const
+  // signature exists because the identical field list mutates on load.
+  T& src = const_cast<T&>(obj);
+  Sizer sizer;
+  src.serialize_state(sizer, version);
+  const std::size_t payload_size = sizer.size();
 
-  std::vector<std::byte> image(kHeaderSize + payload.size());
+  // One buffer, one pass: the Writer appends the payload behind the
+  // header bytes, the header is filled in place, the CRC reads the
+  // payload where it lies.
+  Writer w(kHeaderSize, payload_size);
+  src.serialize_state(w, version);
+  std::vector<std::byte> image = w.take();
+  if (image.size() != kHeaderSize + payload_size) {
+    throw SnapshotError(
+        "snapshot: payload size changed between sizing and writing");
+  }
   detail::put_le(image, 0, kMagic);
   detail::put_le(image, 8, version);
   detail::put_le(image, 12, T::snapshot_tag());
-  detail::put_le(image, 16, static_cast<std::uint64_t>(payload.size()));
-  detail::put_le(image, 24, crc64(payload.data(), payload.size()));
-  if (!payload.empty()) {
-    std::memcpy(image.data() + kHeaderSize, payload.data(), payload.size());
-  }
+  detail::put_le(image, 16, static_cast<std::uint64_t>(payload_size));
+  detail::put_le(image, 24, crc64(image.data() + kHeaderSize, payload_size));
   return image;
 }
 

@@ -363,6 +363,168 @@ TEST(SnapshotImage, RejectsFutureVersion) {
                durability::SnapshotError);
 }
 
+// ---- Image byte identity ---------------------------------------------
+//
+// snapshot() sizes the payload, writes it straight into the image and
+// checksums it in place. The image must be byte-for-byte the one the
+// straightforward build produces: payload from a plain growable Writer,
+// header fields, bytewise CRC, payload copied behind the header.
+
+template <typename T>
+[[nodiscard]] std::vector<std::byte> reference_image(const T& obj,
+                                                     std::uint32_t version) {
+  durability::Writer w;
+  const_cast<T&>(obj).serialize_state(w, version);
+  const std::vector<std::byte> payload = w.take();
+  std::vector<std::byte> image(durability::kHeaderSize + payload.size());
+  const std::uint64_t magic = durability::kMagic;
+  const std::uint32_t tag = T::snapshot_tag();
+  const std::uint64_t size = payload.size();
+  const std::uint64_t crc = qmax::common::codec::crc_detail::crc64_bytewise(
+      payload.data(), payload.size());
+  std::memcpy(image.data() + 0, &magic, sizeof magic);
+  std::memcpy(image.data() + 8, &version, sizeof version);
+  std::memcpy(image.data() + 12, &tag, sizeof tag);
+  std::memcpy(image.data() + 16, &size, sizeof size);
+  std::memcpy(image.data() + 24, &crc, sizeof crc);
+  if (!payload.empty()) {
+    std::memcpy(image.data() + durability::kHeaderSize, payload.data(),
+                payload.size());
+  }
+  return image;
+}
+
+/// Two identically driven instances — the save path may quiesce state
+/// (ConcurrentQMax drains its buffers), so each image is taken from an
+/// object no other save has touched.
+template <typename Make, typename Drive>
+void expect_image_matches_reference(Make make, Drive drive) {
+  for (std::uint32_t version = durability::kMinSupportedVersion;
+       version <= durability::kFormatVersion; ++version) {
+    SCOPED_TRACE("format version " + std::to_string(version));
+    auto fast = make();
+    auto ref = make();
+    drive(fast, 0, kCut);
+    drive(ref, 0, kCut);
+    const std::vector<std::byte> image = durability::snapshot(fast, version);
+    const std::vector<std::byte> expect = reference_image(ref, version);
+    ASSERT_EQ(image.size(), expect.size());
+    EXPECT_TRUE(image == expect) << "image bytes differ from reference";
+  }
+}
+
+TEST(SnapshotImage, ByteIdenticalToReferenceForEveryVariant) {
+  {
+    SCOPED_TRACE("QMax");
+    expect_image_matches_reference([] { return QMax<>(64, 0.25); },
+                                   drive_reservoir<QMax<>>);
+  }
+  {
+    SCOPED_TRACE("AmortizedQMax");
+    expect_image_matches_reference([] { return AmortizedQMax<>(64, 0.25); },
+                                   drive_reservoir<AmortizedQMax<>>);
+  }
+  {
+    SCOPED_TRACE("SampledQMax");
+    expect_image_matches_reference(
+        [] { return SampledQMax<>(256, 0.5, 64); },
+        drive_reservoir<SampledQMax<>>);
+  }
+  {
+    using SW = SlackQMax<QMax<>>;
+    for (const auto& [levels, lazy] :
+         {std::pair<std::size_t, bool>{1, false}, {2, false}, {2, true}}) {
+      SCOPED_TRACE("SlackQMax levels=" + std::to_string(levels) +
+                   " lazy=" + std::to_string(lazy));
+      expect_image_matches_reference(
+          [&] {
+            return SW(512, 0.1, [] { return QMax<>(32, 0.25); },
+                      {.levels = levels, .lazy = lazy});
+          },
+          drive_reservoir<SW>);
+    }
+  }
+  {
+    SCOPED_TRACE("TimeSlackQMax");
+    using TW = TimeSlackQMax<QMax<>>;
+    expect_image_matches_reference(
+        [] { return TW(256, 0.125, [] { return QMax<>(32, 0.25); }); },
+        [](TW& r, std::uint64_t lo, std::uint64_t hi) {
+          for (std::uint64_t i = lo; i < hi; ++i) r.add(i, val_at(i), i / 4);
+        });
+  }
+  {
+    SCOPED_TRACE("ExpDecayQMax");
+    expect_image_matches_reference(
+        [] { return ExpDecayQMax<>(64, 0.999, 0.25); },
+        drive_reservoir<ExpDecayQMax<>>);
+  }
+  {
+    SCOPED_TRACE("ShardedQMax");
+    using SH = ShardedQMax<>;
+    expect_image_matches_reference(
+        [] { return SH(4, 64, {.gamma = 0.25}, true); },
+        [](SH& r, std::uint64_t lo, std::uint64_t hi) {
+          for (std::uint64_t i = lo; i < hi; ++i) r.add(i % 4, i, val_at(i));
+        });
+  }
+  {
+    SCOPED_TRACE("ConcurrentQMax");
+    using CQ = ConcurrentQMax<>;
+    expect_image_matches_reference(
+        [] { return CQ(64, {.gamma = 0.25}, 48); },
+        drive_reservoir<CQ>);
+  }
+  {
+    SCOPED_TRACE("LrfuQMaxCache");
+    expect_image_matches_reference(
+        [] { return LrfuQMaxCache<>(64, 0.99, 0.25); },
+        [](LrfuQMaxCache<>& c, std::uint64_t lo, std::uint64_t hi) {
+          for (std::uint64_t i = lo; i < hi; ++i) c.access(key_at(i));
+        });
+  }
+  {
+    SCOPED_TRACE("LrfuQMaxCacheDeamortized");
+    expect_image_matches_reference(
+        [] { return LrfuQMaxCacheDeamortized<>(64, 0.99, 0.25); },
+        [](LrfuQMaxCacheDeamortized<>& c, std::uint64_t lo,
+           std::uint64_t hi) {
+          for (std::uint64_t i = lo; i < hi; ++i) c.access(key_at(i));
+        });
+  }
+}
+
+/// A composition whose save traversal is not read-only: every save pass
+/// grows (or shrinks) its vector, so the Writer emits a different byte
+/// count than the Sizer announced.
+struct UnstableSave {
+  [[nodiscard]] static constexpr std::uint32_t snapshot_tag() noexcept {
+    return 0x7F000001u;
+  }
+  template <typename Archive>
+  void serialize_state(Archive& ar, std::uint32_t /*version*/) {
+    if constexpr (!Archive::kLoading) {
+      if (grow) {
+        v.push_back(v.size());
+      } else if (!v.empty()) {
+        v.pop_back();
+      }
+    }
+    ar.vec(v);
+  }
+  bool grow = true;
+  std::vector<std::uint64_t> v = {1, 2, 3};
+};
+
+TEST(SnapshotImage, SizerWriterMismatchThrows) {
+  UnstableSave grows;
+  EXPECT_THROW((void)durability::snapshot(grows), durability::SnapshotError);
+  UnstableSave shrinks;
+  shrinks.grow = false;
+  EXPECT_THROW((void)durability::snapshot(shrinks),
+               durability::SnapshotError);
+}
+
 TEST(SnapshotStore, EpochNumberingAndRetention) {
   ScopedDir dir;
   durability::SnapshotStore store(dir.path, "res", 3);

@@ -67,10 +67,17 @@ class CtlHarness {
 
   [[nodiscard]] bool start() {
     if (!ctl_.start()) return false;
+    // Each round is a non-blocking run_once under the lock, then a wait
+    // with the lock released. The lock must never be held across the
+    // wait: std::mutex is not fair, so a pump that re-locks at once can
+    // starve await()/with() past a session's heartbeat timeout.
     pump_ = std::thread([this] {
       while (!stop_.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> g(mu_);
-        ctl_.run_once(5);
+        {
+          std::lock_guard<std::mutex> g(mu_);
+          ctl_.run_once(0);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     });
     return true;
