@@ -195,100 +195,9 @@ class MultiPmdSwitch {
   template <typename Consumer>
   MultiRunResult forward_monitored(std::span<const trace::PacketRecord> packets,
                                    Consumer&& consume) {
-    const std::size_t n = pmds_.size();
-    // RSS partition (outside the timed section, like the packet
-    // generators: the NIC does this in hardware).
-    std::vector<std::vector<trace::PacketRecord>> shards(n);
-    for (auto& s : shards) s.reserve(packets.size() / n + 1);
-    for (const auto& p : packets) shards[rss(p)].push_back(p);
-
-    std::vector<std::unique_ptr<SpscRing<MonitorRecord>>> rings;
-    rings.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rings.push_back(std::make_unique<SpscRing<MonitorRecord>>(
-          cfg_.per_pmd.ring_capacity));
-    }
-
-    MultiRunResult res;
-    res.per_pmd.resize(n);
-    res.packets = packets.size();
-    res.consumer_busy_seconds.assign(1, 0.0);  // the one monitor thread
-    res.busy_time_valid = common::thread_cputime_supported();
-    std::atomic<std::size_t> producers_done{0};
-
-    // Monitor-side per-ring gauges; published into res.per_pmd after the
-    // joins (which order the writes), so producers and the monitor never
-    // touch the same RunResult concurrently.
-    std::vector<std::uint64_t> occ_max(n, 0);
-    std::vector<std::uint64_t> drain_batches(n, 0);
-    std::vector<std::uint64_t> drained(n, 0);
-
-    common::Stopwatch wall;
-    std::vector<std::thread> pmd_threads;
-    pmd_threads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      pmd_threads.emplace_back([&, i] {
-        pmds_[i]->run_datapath(shards[i], rings[i].get(), res.per_pmd[i]);
-        producers_done.fetch_add(1, std::memory_order_release);
-      });
-    }
-
-    std::thread monitor([&] {
-      MonitorRecord batch[64];
-      common::ThreadCpuStopwatch cpu;
-      double busy = 0.0;
-      for (;;) {
-        bool any = false;
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t occ = rings[i]->size_approx();
-          cpu.reset();
-          const std::size_t got = rings[i]->pop_batch(batch, 64);
-          if (got > 0) {
-            [[maybe_unused]] telemetry::Span drain_span(
-                telemetry::Stage::kRingDrain);
-            if constexpr (std::is_invocable_v<
-                              Consumer&, std::size_t,
-                              std::span<const MonitorRecord>>) {
-              consume(i, std::span<const MonitorRecord>(batch, got));
-            } else {
-              for (std::size_t j = 0; j < got; ++j) consume(i, batch[j]);
-            }
-          }
-          if (got > 0) {
-            busy += cpu.seconds();
-            ++drain_batches[i];
-            drained[i] += got;
-            if (occ > occ_max[i]) occ_max[i] = occ;
-            mon_tm_.drain_batch.record(got);
-            mon_tm_.ring_occupancy.record(occ);
-            mon_tm_.records_drained.inc(got);
-            any = true;
-          }
-        }
-        if (!any) {
-          mon_tm_.empty_polls.inc();
-          if (producers_done.load(std::memory_order_acquire) == n) {
-            bool all_empty = true;
-            for (const auto& r : rings) all_empty &= r->empty_approx();
-            if (all_empty) break;
-          }
-          std::this_thread::yield();
-        }
-      }
-      res.consumer_busy_seconds[0] = busy;  // sole writer; read post-join
-    });
-
-    for (auto& t : pmd_threads) t.join();
-    const double producer_wall = wall.seconds();
-    monitor.join();
-    res.seconds = producer_wall;
-    for (std::size_t i = 0; i < n; ++i) {
-      res.per_pmd[i].ring_capacity = rings[i]->capacity();
-      res.per_pmd[i].ring_occupancy_max = occ_max[i];
-      res.per_pmd[i].drain_batches = drain_batches[i];
-      res.per_pmd[i].records_drained = drained[i];
-    }
-    return res;
+    return run_monitored(
+        packets, 1, [&](std::size_t) -> MonitorTelemetry& { return mon_tm_; },
+        consume);
   }
 
   /// Sharded measurement pipeline: one consumer thread PER ring instead
@@ -303,99 +212,15 @@ class MultiPmdSwitch {
   template <typename Consumer>
   MultiRunResult forward_sharded(std::span<const trace::PacketRecord> packets,
                                  Consumer&& consume) {
-    const std::size_t n = pmds_.size();
-    std::vector<std::vector<trace::PacketRecord>> shards(n);
-    for (auto& s : shards) s.reserve(packets.size() / n + 1);
-    for (const auto& p : packets) shards[rss(p)].push_back(p);
-
-    std::vector<std::unique_ptr<SpscRing<MonitorRecord>>> rings;
-    rings.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rings.push_back(std::make_unique<SpscRing<MonitorRecord>>(
-          cfg_.per_pmd.ring_capacity));
-    }
     // One MonitorTelemetry per ring: the instruments are single-writer
     // plain fields, so concurrent consumers must never share a pack.
-    while (shard_mon_tm_.size() < n) {
+    while (shard_mon_tm_.size() < pmds_.size()) {
       shard_mon_tm_.push_back(std::make_unique<MonitorTelemetry>());
     }
-
-    MultiRunResult res;
-    res.per_pmd.resize(n);
-    res.packets = packets.size();
-    res.consumer_busy_seconds.assign(n, 0.0);
-    res.busy_time_valid = common::thread_cputime_supported();
-    std::vector<std::atomic<bool>> done(n);
-
-    std::vector<std::uint64_t> occ_max(n, 0);
-    std::vector<std::uint64_t> drain_batches(n, 0);
-    std::vector<std::uint64_t> drained(n, 0);
-
-    common::Stopwatch wall;
-    std::vector<std::thread> pmd_threads;
-    pmd_threads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      pmd_threads.emplace_back([&, i] {
-        pmds_[i]->run_datapath(shards[i], rings[i].get(), res.per_pmd[i]);
-        done[i].store(true, std::memory_order_release);
-      });
-    }
-
-    std::vector<std::thread> consumers;
-    consumers.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      consumers.emplace_back([&, i] {
-        MonitorRecord batch[64];
-        MonitorTelemetry& tm = *shard_mon_tm_[i];
-        common::ThreadCpuStopwatch cpu;
-        double busy = 0.0;
-        for (;;) {
-          const std::size_t occ = rings[i]->size_approx();
-          cpu.reset();
-          const std::size_t got = rings[i]->pop_batch(batch, 64);
-          if (got > 0) {
-            {
-              [[maybe_unused]] telemetry::Span drain_span(
-                  telemetry::Stage::kRingDrain);
-              if constexpr (std::is_invocable_v<
-                                Consumer&, std::size_t,
-                                std::span<const MonitorRecord>>) {
-                consume(i, std::span<const MonitorRecord>(batch, got));
-              } else {
-                for (std::size_t j = 0; j < got; ++j) consume(i, batch[j]);
-              }
-            }
-            busy += cpu.seconds();
-            ++drain_batches[i];
-            drained[i] += got;
-            if (occ > occ_max[i]) occ_max[i] = occ;
-            tm.drain_batch.record(got);
-            tm.ring_occupancy.record(occ);
-            tm.records_drained.inc(got);
-          } else {
-            tm.empty_polls.inc();
-            if (done[i].load(std::memory_order_acquire) &&
-                rings[i]->empty_approx()) {
-              break;
-            }
-            std::this_thread::yield();
-          }
-        }
-        res.consumer_busy_seconds[i] = busy;  // sole writer; read post-join
-      });
-    }
-
-    for (auto& t : pmd_threads) t.join();
-    const double producer_wall = wall.seconds();
-    for (auto& t : consumers) t.join();
-    res.seconds = producer_wall;
-    for (std::size_t i = 0; i < n; ++i) {
-      res.per_pmd[i].ring_capacity = rings[i]->capacity();
-      res.per_pmd[i].ring_occupancy_max = occ_max[i];
-      res.per_pmd[i].drain_batches = drain_batches[i];
-      res.per_pmd[i].records_drained = drained[i];
-    }
-    return res;
+    return run_monitored(
+        packets, pmds_.size(),
+        [&](std::size_t j) -> MonitorTelemetry& { return *shard_mon_tm_[j]; },
+        consume);
   }
 
   /// Concurrent measurement pipeline: M consumer threads over N rings,
@@ -417,107 +242,15 @@ class MultiPmdSwitch {
     const std::size_t m =
         consumer_threads == 0 ? 1 : (consumer_threads < n ? consumer_threads
                                                           : n);
-    std::vector<std::vector<trace::PacketRecord>> shards(n);
-    for (auto& s : shards) s.reserve(packets.size() / n + 1);
-    for (const auto& p : packets) shards[rss(p)].push_back(p);
-
-    std::vector<std::unique_ptr<SpscRing<MonitorRecord>>> rings;
-    rings.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rings.push_back(std::make_unique<SpscRing<MonitorRecord>>(
-          cfg_.per_pmd.ring_capacity));
-    }
     // One MonitorTelemetry per consumer thread (not per ring): the
     // instruments are single-writer plain fields.
     while (conc_mon_tm_.size() < m) {
       conc_mon_tm_.push_back(std::make_unique<MonitorTelemetry>());
     }
-
-    MultiRunResult res;
-    res.per_pmd.resize(n);
-    res.packets = packets.size();
-    res.consumer_busy_seconds.assign(m, 0.0);
-    res.busy_time_valid = common::thread_cputime_supported();
-    std::vector<std::atomic<bool>> done(n);
-
-    // Per-ring gauges: ring i is drained only by consumer i mod m, so
-    // each entry keeps a single writer.
-    std::vector<std::uint64_t> occ_max(n, 0);
-    std::vector<std::uint64_t> drain_batches(n, 0);
-    std::vector<std::uint64_t> drained(n, 0);
-
-    common::Stopwatch wall;
-    std::vector<std::thread> pmd_threads;
-    pmd_threads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      pmd_threads.emplace_back([&, i] {
-        pmds_[i]->run_datapath(shards[i], rings[i].get(), res.per_pmd[i]);
-        done[i].store(true, std::memory_order_release);
-      });
-    }
-
-    std::vector<std::thread> consumers;
-    consumers.reserve(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      consumers.emplace_back([&, j] {
-        MonitorRecord batch[64];
-        MonitorTelemetry& tm = *conc_mon_tm_[j];
-        common::ThreadCpuStopwatch cpu;
-        double busy = 0.0;
-        for (;;) {
-          bool any = false;
-          bool all_done = true;
-          for (std::size_t i = j; i < n; i += m) {
-            const std::size_t occ = rings[i]->size_approx();
-            cpu.reset();
-            const std::size_t got = rings[i]->pop_batch(batch, 64);
-            if (got > 0) {
-              {
-                [[maybe_unused]] telemetry::Span drain_span(
-                    telemetry::Stage::kRingDrain);
-                if constexpr (std::is_invocable_v<
-                                  Consumer&, std::size_t,
-                                  std::span<const MonitorRecord>>) {
-                  consume(i, std::span<const MonitorRecord>(batch, got));
-                } else {
-                  for (std::size_t k = 0; k < got; ++k) consume(i, batch[k]);
-                }
-              }
-              busy += cpu.seconds();
-              ++drain_batches[i];
-              drained[i] += got;
-              if (occ > occ_max[i]) occ_max[i] = occ;
-              tm.drain_batch.record(got);
-              tm.ring_occupancy.record(occ);
-              tm.records_drained.inc(got);
-              any = true;
-            }
-            if (!done[i].load(std::memory_order_acquire) ||
-                !rings[i]->empty_approx()) {
-              all_done = false;
-            }
-          }
-          if (!any) {
-            tm.empty_polls.inc();
-            if (all_done) break;
-            std::this_thread::yield();
-          }
-        }
-        res.consumer_busy_seconds[j] = busy;  // sole writer; read post-join
-      });
-    }
-
-    for (auto& t : pmd_threads) t.join();
-    const double producer_wall = wall.seconds();
-    for (auto& t : consumers) t.join();
-    res.seconds = producer_wall;
-    for (std::size_t i = 0; i < n; ++i) {
-      res.per_pmd[i].ring_capacity = rings[i]->capacity();
-      res.per_pmd[i].ring_occupancy_max = occ_max[i];
-      res.per_pmd[i].drain_batches = drain_batches[i];
-      res.per_pmd[i].records_drained = drained[i];
-    }
-    return res;
+    return run_monitored(
+        packets, m,
+        [&](std::size_t j) -> MonitorTelemetry& { return *conc_mon_tm_[j]; },
+        consume);
   }
 
   /// Consumer-side instruments across all rings, accumulated over runs.
@@ -574,6 +307,69 @@ class MultiPmdSwitch {
   }
 
  private:
+  /// The monitored pipeline behind every forward_* entry point: one PMD
+  /// thread per ring and `m` consumer threads, consumer j draining rings
+  /// j, j + m, ... with `tm(j)` as its instruments, so each ring keeps a
+  /// single consumer and stays SPSC.
+  template <typename Telemetry, typename Consumer>
+  MultiRunResult run_monitored(std::span<const trace::PacketRecord> packets,
+                               std::size_t m, Telemetry&& tm,
+                               Consumer& consume) {
+    const std::size_t n = pmds_.size();
+    // RSS partition (outside the timed section, like the packet
+    // generators: the NIC does this in hardware).
+    std::vector<std::vector<trace::PacketRecord>> shards(n);
+    for (auto& s : shards) s.reserve(packets.size() / n + 1);
+    for (const auto& p : packets) shards[rss(p)].push_back(p);
+
+    std::vector<std::unique_ptr<SpscRing<MonitorRecord>>> rings;
+    rings.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      rings.push_back(std::make_unique<SpscRing<MonitorRecord>>(
+          cfg_.per_pmd.ring_capacity));
+    }
+
+    MultiRunResult res;
+    res.per_pmd.resize(n);
+    res.packets = packets.size();
+    res.consumer_busy_seconds.assign(m, 0.0);
+    res.busy_time_valid = common::thread_cputime_supported();
+    std::vector<std::atomic<bool>> done(n);
+    // Written once per ring as its consumer exits; published after join.
+    std::vector<detail::DrainGauges> gauges(n);
+
+    common::Stopwatch wall;
+    std::vector<std::thread> pmd_threads;
+    pmd_threads.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      pmd_threads.emplace_back([&, i] {
+        pmds_[i]->run_datapath(shards[i], rings[i].get(), res.per_pmd[i]);
+        done[i].store(true, std::memory_order_release);
+      });
+    }
+    std::vector<std::thread> consumers;
+    consumers.reserve(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      consumers.emplace_back([&, j] {
+        detail::drain_rings(
+            rings, j, m,
+            [&](std::size_t i) {
+              return done[i].load(std::memory_order_acquire);
+            },
+            consume, tm(j), gauges.data(), &res.consumer_busy_seconds[j]);
+      });
+    }
+
+    for (auto& t : pmd_threads) t.join();
+    const double producer_wall = wall.seconds();
+    for (auto& t : consumers) t.join();
+    res.seconds = producer_wall;
+    for (std::size_t i = 0; i < n; ++i) {
+      gauges[i].publish(res.per_pmd[i], rings[i]->capacity());
+    }
+    return res;
+  }
+
   MultiPmdConfig cfg_;
   std::vector<std::unique_ptr<VirtualSwitch>> pmds_;
   [[no_unique_address]] MonitorTelemetry mon_tm_;

@@ -45,33 +45,37 @@ class SpscRing {
   SpscRing& operator=(const SpscRing&) = delete;
 
   /// Producer side. Returns false when full.
-  bool try_push(const T& item) noexcept {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_cache_;
-    if (head - tail > mask_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head - tail_cache_ > mask_) return false;
-    }
-    buf_[head & mask_] = item;
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
+  bool try_push(const T& item) noexcept { return push_batch(&item, 1) == 1; }
 
   /// Consumer side. Returns false when empty.
-  bool try_pop(T& out) noexcept {
-    if (fault::pop_stalled()) return false;  // injected consumer stall
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == head_cache_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail == head_cache_) return false;
+  bool try_pop(T& out) noexcept { return pop_batch(&out, 1) == 1; }
+
+  /// Producer side: push as many of `items[0, n)` as fit, in order, and
+  /// publish them with one release store; returns the count accepted.
+  /// A burst thus costs the consumer one transfer of the head_ line
+  /// instead of one per item.
+  std::size_t push_batch(const T* items, std::size_t n) noexcept {
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
+    std::size_t free =
+        capacity() - static_cast<std::size_t>(head - tail_cache_);
+    if (n > free) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      free = capacity() - static_cast<std::size_t>(head - tail_cache_);
+      if (n > free) n = free;
     }
-    out = buf_[tail & mask_];
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
+    if (n == 0) return 0;
+    for (std::size_t i = 0; i < n; ++i) buf_[(head + i) & mask_] = items[i];
+    head_.store(head + n, std::memory_order_release);
+    return n;
   }
 
-  /// Consumer side: pop up to `max` items into `out`; returns count.
-  std::size_t pop_batch(T* out, std::size_t max) noexcept {
+  /// Consumer side: pop up to `max` items into `out`; returns the count.
+  /// `occupancy` receives the items visible to this pop (the head
+  /// snapshot minus tail), so a caller gauging occupancy needs no second
+  /// load of the producer's index line.
+  std::size_t pop_batch(T* out, std::size_t max,
+                        std::size_t& occupancy) noexcept {
+    occupancy = 0;
     if (fault::pop_stalled()) return 0;  // injected consumer stall
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     std::uint64_t head = head_cache_;
@@ -79,11 +83,16 @@ class SpscRing {
       head = head_cache_ = head_.load(std::memory_order_acquire);
       if (tail == head) return 0;
     }
-    std::size_t n = static_cast<std::size_t>(head - tail);
-    if (n > max) n = max;
+    occupancy = static_cast<std::size_t>(head - tail);
+    const std::size_t n = occupancy < max ? occupancy : max;
     for (std::size_t i = 0; i < n; ++i) out[i] = buf_[(tail + i) & mask_];
     tail_.store(tail + n, std::memory_order_release);
     return n;
+  }
+
+  std::size_t pop_batch(T* out, std::size_t max) noexcept {
+    std::size_t occupancy;
+    return pop_batch(out, max, occupancy);
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
@@ -114,10 +123,13 @@ class SpscRing {
   std::vector<T> buf_;
   std::size_t mask_ = 0;
 
+  // Each index and each side's private snapshot of the other's index gets
+  // its own line: the consumer polls head_, so a producer-private write
+  // beside it (or beside tail_) would cost a line transfer per access.
   alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};
-  std::uint64_t tail_cache_ = 0;  // producer-local snapshot of tail_
+  alignas(kCacheLine) std::uint64_t tail_cache_ = 0;  // producer's tail_
   alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};
-  std::uint64_t head_cache_ = 0;  // consumer-local snapshot of head_
+  alignas(kCacheLine) std::uint64_t head_cache_ = 0;  // consumer's head_
 };
 
 }  // namespace qmax::vswitch

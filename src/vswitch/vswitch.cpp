@@ -1,9 +1,14 @@
 #include "vswitch/vswitch.hpp"
 
+#include "common/validate.hpp"
+
 namespace qmax::vswitch {
 
 VirtualSwitch::VirtualSwitch(SwitchConfig cfg)
-    : cfg_(cfg), table_(cfg.emc_entries) {}
+    : cfg_(cfg), table_(cfg.emc_entries) {
+  // A zero burst would never advance the poll loop.
+  common::validate_nonzero(cfg_.rx_burst, "VirtualSwitch", "rx_burst");
+}
 
 void VirtualSwitch::install_default_rules(std::uint32_t buckets) {
   // One subtable: match the low bits of src_ip, wildcard everything else.
@@ -32,7 +37,10 @@ RunResult VirtualSwitch::forward(std::span<const trace::PacketRecord> packets) {
 }
 
 void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
-                             SpscRing<MonitorRecord>* ring, RunResult& res) {
+                             SpscRing<MonitorRecord>* ring, RunResult& out) {
+  // Count into a local copy and write it back once: `out` may sit on a
+  // line the monitor or another PMD writes.
+  RunResult res = out;
   const std::size_t burst = cfg_.rx_burst;
   std::size_t i = 0;
   const std::size_t n = packets.size();
@@ -44,8 +52,14 @@ void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
     g.watermark_slots = static_cast<std::size_t>(
         frac * static_cast<double>(ring->capacity()));
   }
+  // kBackpressure and kDrop stage a burst's records and publish them with
+  // one push_batch; kGraceful decides per record.
+  const bool staged =
+      ring != nullptr && cfg_.policy != OverloadPolicy::kGraceful;
+  std::vector<MonitorRecord> stage(staged ? burst : 0);
   while (i < n) {
     const std::size_t end = i + burst < n ? i + burst : n;
+    std::size_t k = 0;
     for (; i < end; ++i) {
       const trace::PacketRecord& p = packets[i];
       if (auto act = table_.lookup(p.tuple)) {
@@ -66,28 +80,30 @@ void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
 
       if (ring != nullptr) {
         const MonitorRecord rec{p.tuple.src_ip, p.length, p.packet_id};
-        switch (cfg_.policy) {
-          case OverloadPolicy::kBackpressure:
-            if (!ring->try_push(rec)) {
-              ++res.backpressure_stalls;
-              [[maybe_unused]] telemetry::Span stall_span(
-                  telemetry::Stage::kRingPushStall);
-              do {
-                // Share the core with the monitor thread while waiting.
-                std::this_thread::yield();
-              } while (!ring->try_push(rec));
-            }
-            break;
-          case OverloadPolicy::kDrop:
-            if (!ring->try_push(rec)) ++res.records_dropped;
-            break;
-          case OverloadPolicy::kGraceful:
-            graceful_enqueue(rec, *ring, g, res);
-            break;
+        if (staged) {
+          stage[k++] = rec;
+        } else {
+          graceful_enqueue(rec, *ring, g, res);
         }
       }
     }
+    if (k == 0) continue;
+    std::size_t pushed = ring->push_batch(stage.data(), k);
+    if (cfg_.policy == OverloadPolicy::kDrop) {
+      res.records_dropped += k - pushed;
+    } else if (pushed < k) {
+      // Every record the first push could not take had to wait.
+      res.backpressure_stalls += k - pushed;
+      [[maybe_unused]] telemetry::Span stall_span(
+          telemetry::Stage::kRingPushStall);
+      do {
+        // Share the core with the monitor thread while waiting.
+        std::this_thread::yield();
+        pushed += ring->push_batch(stage.data() + pushed, k - pushed);
+      } while (pushed < k);
+    }
   }
+  out = res;
 }
 
 void VirtualSwitch::escalate(GracefulCtx& g, DegradeState to,

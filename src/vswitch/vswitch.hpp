@@ -5,7 +5,10 @@
 // table lookup (EMC → tuple-space classifier), executes the action, and —
 // when monitoring is attached — copies a MonitorRecord (source IP, packet
 // id, packet size: exactly the fields the paper's OVS patch records) into
-// an SPSC shared-memory ring consumed by a measurement thread.
+// an SPSC shared-memory ring consumed by a measurement thread. A burst's
+// records are staged locally and published with one push_batch, so the
+// handoff costs one transfer of the ring's head line per burst, not per
+// packet (DESIGN.md §4.8).
 //
 // Throughput semantics: with backpressure enabled (default, matching the
 // paper's observed behaviour) the PMD blocks when the ring is full, so a
@@ -15,12 +18,14 @@
 // follows the Ethernet wire model in trace/packet.hpp.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <thread>
 #include <type_traits>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "telemetry/counters.hpp"
@@ -248,6 +253,89 @@ struct RunResult {
   }
 };
 
+namespace detail {
+
+/// Records a consumer pops from one ring per drain round.
+inline constexpr std::size_t kDrainBatch = 64;
+
+/// Consumer-side gauges of one monitor ring. The draining thread keeps
+/// them in its own locals; they reach the ring's RunResult only after
+/// join, so no drain round writes a line another thread uses.
+struct DrainGauges {
+  std::uint64_t occupancy_max = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t drained = 0;
+
+  void publish(RunResult& res, std::size_t capacity) const noexcept {
+    res.ring_capacity = capacity;
+    res.ring_occupancy_max = occupancy_max;
+    res.drain_batches = batches;
+    res.records_drained = drained;
+  }
+};
+
+/// The body of one measurement-consumer thread: drain rings[first],
+/// rings[first + stride], ... round-robin until each of them is empty with
+/// its producer done (`done(i)`). A round pops up to kDrainBatch records
+/// per ring and hands them, under a ring_drain span, to
+/// `consume(i, span)` or per record to `consume(i, record)`. Occupancy is
+/// read from pop_batch's own head snapshot, so a round loads a producer's
+/// index line at most once. Gauges accumulate in locals and land in
+/// gauges[i] at exit; `busy`, when set, receives the thread-CPU seconds
+/// spent on non-empty drains.
+template <typename Rings, typename Done, typename Consumer>
+void drain_rings(const Rings& rings, std::size_t first, std::size_t stride,
+                 Done&& done, Consumer& consume, MonitorTelemetry& tm,
+                 DrainGauges* gauges, double* busy) {
+  std::vector<DrainGauges> local(rings.size());
+  MonitorRecord batch[kDrainBatch];
+  common::ThreadCpuStopwatch cpu;
+  double busy_s = 0.0;
+  for (;;) {
+    bool any = false;
+    for (std::size_t i = first; i < rings.size(); i += stride) {
+      if (busy != nullptr) cpu.reset();
+      std::size_t occ = 0;
+      const std::size_t got = rings[i]->pop_batch(batch, kDrainBatch, occ);
+      if (got == 0) continue;
+      {
+        [[maybe_unused]] telemetry::Span drain_span(
+            telemetry::Stage::kRingDrain);
+        if constexpr (std::is_invocable_v<Consumer&, std::size_t,
+                                          std::span<const MonitorRecord>>) {
+          consume(i, std::span<const MonitorRecord>(batch, got));
+        } else {
+          for (std::size_t k = 0; k < got; ++k) consume(i, batch[k]);
+        }
+      }
+      if (busy != nullptr) busy_s += cpu.seconds();
+      DrainGauges& g = local[i];
+      ++g.batches;
+      g.drained += got;
+      if (occ > g.occupancy_max) g.occupancy_max = occ;
+      tm.drain_batch.record(got);
+      tm.ring_occupancy.record(occ);
+      tm.records_drained.inc(got);
+      any = true;
+    }
+    if (any) continue;
+    tm.empty_polls.inc();
+    bool finished = true;
+    for (std::size_t i = first; finished && i < rings.size(); i += stride) {
+      finished = done(i) && rings[i]->empty_approx();
+    }
+    if (finished) break;
+    // Single-core friendliness: let the PMDs run instead of spinning.
+    std::this_thread::yield();
+  }
+  for (std::size_t i = first; i < rings.size(); i += stride) {
+    gauges[i] = local[i];
+  }
+  if (busy != nullptr) *busy = busy_s;
+}
+
+}  // namespace detail
+
 class VirtualSwitch {
  public:
   explicit VirtualSwitch(SwitchConfig cfg = {});
@@ -287,57 +375,29 @@ class VirtualSwitch {
   RunResult forward_monitored(std::span<const trace::PacketRecord> packets,
                               Consumer&& consume) {
     SpscRing<MonitorRecord> ring(cfg_.ring_capacity);
+    const std::array<SpscRing<MonitorRecord>*, 1> rings{&ring};
     std::atomic<bool> producer_done{false};
-    RunResult res;
-    // Monitor-side gauges; published into `res` after join (the join is
-    // the synchronisation point, so no atomics are needed).
-    std::uint64_t occ_max = 0;
-    std::uint64_t drain_batches = 0;
-    std::uint64_t drained = 0;
-
+    detail::DrainGauges gauges;
+    // drain_rings passes a ring index first; with one ring it carries
+    // nothing, so drop it before the caller's consumer sees the call.
+    auto unindexed = [&consume](std::size_t, const auto& x)
+        -> decltype(consume(x)) { return consume(x); };
     std::thread monitor([&] {
-      MonitorRecord batch[64];
-      for (;;) {
-        const std::size_t occ = ring.size_approx();
-        const std::size_t n = ring.pop_batch(batch, 64);
-        if (n == 0) {
-          mon_tm_.empty_polls.inc();
-          if (producer_done.load(std::memory_order_acquire) &&
-              ring.empty_approx()) {
-            break;
-          }
-          // Single-core friendliness: let the PMD run instead of spinning.
-          std::this_thread::yield();
-          continue;
-        }
-        ++drain_batches;
-        drained += n;
-        if (occ > occ_max) occ_max = occ;
-        mon_tm_.drain_batch.record(n);
-        mon_tm_.ring_occupancy.record(occ);
-        mon_tm_.records_drained.inc(n);
-        {
-          [[maybe_unused]] telemetry::Span drain_span(
-              telemetry::Stage::kRingDrain);
-          if constexpr (std::is_invocable_v<Consumer&,
-                                            std::span<const MonitorRecord>>) {
-            consume(std::span<const MonitorRecord>(batch, n));
-          } else {
-            for (std::size_t i = 0; i < n; ++i) consume(batch[i]);
-          }
-        }
-      }
+      detail::drain_rings(
+          rings, 0, 1,
+          [&](std::size_t) {
+            return producer_done.load(std::memory_order_acquire);
+          },
+          unindexed, mon_tm_, &gauges, nullptr);
     });
 
+    RunResult res;
     common::Stopwatch sw;
     pmd_loop(packets, &ring, res);
     res.seconds = sw.seconds();
     producer_done.store(true, std::memory_order_release);
     monitor.join();
-    res.ring_capacity = ring.capacity();
-    res.ring_occupancy_max = occ_max;
-    res.drain_batches = drain_batches;
-    res.records_drained = drained;
+    gauges.publish(res, ring.capacity());
     return res;
   }
 
@@ -375,7 +435,7 @@ class VirtualSwitch {
 
   /// The PMD poll loop. `ring == nullptr` disables monitoring.
   void pmd_loop(std::span<const trace::PacketRecord> packets,
-                SpscRing<MonitorRecord>* ring, RunResult& res);
+                SpscRing<MonitorRecord>* ring, RunResult& out);
 
   /// kGraceful enqueue of one record: shed/drop decisions, bounded
   /// spinning, ladder movement. Never blocks indefinitely.

@@ -92,6 +92,70 @@ TEST(SpscRing, PopBatch) {
   EXPECT_EQ(r.pop_batch(buf, 16), 0u);
 }
 
+TEST(SpscRing, PopBatchReportsOccupancySnapshot) {
+  SpscRing<int> r(64);
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE(r.try_push(i));
+  int buf[16];
+  std::size_t occ = 0;
+  ASSERT_EQ(r.pop_batch(buf, 16, occ), 16u);
+  EXPECT_EQ(occ, 30u);  // visible before the pop, not after it
+  ASSERT_EQ(r.pop_batch(buf, 16, occ), 14u);
+  EXPECT_EQ(occ, 14u);
+  EXPECT_EQ(r.pop_batch(buf, 16, occ), 0u);
+  EXPECT_EQ(occ, 0u);
+}
+
+TEST(SpscRing, PushBatchPartialAcceptanceAtCapacity) {
+  SpscRing<int> r(64);
+  const std::size_t cap = r.capacity();
+  std::vector<int> items(cap + 20);
+  for (std::size_t i = 0; i < items.size(); ++i) items[i] = int(i);
+
+  EXPECT_EQ(r.push_batch(items.data(), 50), 50u);
+  // Only cap - 50 slots remain: the batch is cut to exactly that.
+  EXPECT_EQ(r.push_batch(items.data() + 50, 30), cap - 50);
+  EXPECT_EQ(r.push_batch(items.data(), 1), 0u);  // full
+  EXPECT_EQ(r.push_batch(items.data(), 0), 0u);
+  EXPECT_EQ(r.size_approx(), cap);
+
+  int buf[10];
+  ASSERT_EQ(r.pop_batch(buf, 10), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(buf[i], i);
+  // The freed slots take the next records, no more.
+  EXPECT_EQ(r.push_batch(items.data() + cap, 20), 10u);
+  int v;
+  for (std::size_t i = 10; i < cap + 10; ++i) {
+    ASSERT_TRUE(r.try_pop(v));
+    ASSERT_EQ(v, int(i)) << "partial pushes must keep FIFO order";
+  }
+  EXPECT_FALSE(r.try_pop(v));
+}
+
+TEST(SpscRing, PushBatchFifoAcrossManyWraps) {
+  // Random batch sizes on both sides, overshooting the free space and the
+  // occupancy, across thousands of wraparounds.
+  SpscRing<std::uint64_t> r(64);
+  const std::size_t cap = r.capacity();
+  std::vector<std::uint64_t> src(cap + 8);
+  std::vector<std::uint64_t> dst(cap + 8);
+  std::uint64_t next_push = 0;
+  std::uint64_t next_pop = 0;
+  std::mt19937_64 rng(17);
+  for (int round = 0; round < 20'000; ++round) {
+    const std::size_t want = rng() % (cap + 8);
+    for (std::size_t i = 0; i < want; ++i) src[i] = next_push + i;
+    const std::size_t free = cap - (next_push - next_pop);
+    const std::size_t pushed = r.push_batch(src.data(), want);
+    ASSERT_EQ(pushed, want < free ? want : free) << "round " << round;
+    next_push += pushed;
+    const std::size_t got = r.pop_batch(dst.data(), rng() % (cap + 8));
+    for (std::size_t i = 0; i < got; ++i) {
+      ASSERT_EQ(dst[i], next_pop++) << "round " << round;
+    }
+  }
+  EXPECT_GT(next_pop, 1'000 * cap) << "too few wraparounds";
+}
+
 TEST(SpscRing, DropAccountingExactAtCapacityBoundary) {
   // Interleaved push/pop with rejected pushes counted as drops: accepted
   // pushes must equal pops + remaining occupancy, exactly, across many
@@ -192,6 +256,46 @@ TEST(SpscRing, CrossThreadTransferIsLossless) {
   consumer.join();
   EXPECT_EQ(count_consumed, total);
   EXPECT_EQ(sum_consumed, total * (total - 1) / 2);
+}
+
+TEST(SpscRing, CrossThreadBatchTransferIsLossless) {
+  // The PMD's handoff shape: variable-size bursts published with one
+  // push_batch each, drained by pop_batch on another thread.
+  SpscRing<std::uint64_t> r(1 << 8);
+  const std::uint64_t total = 2'000'000;
+  std::uint64_t count_consumed = 0;
+  bool in_order = true;
+
+  std::thread consumer([&] {
+    std::uint64_t buf[64];
+    std::uint64_t expect = 0;
+    while (count_consumed < total) {
+      const std::size_t got = r.pop_batch(buf, 64);
+      if (got == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      for (std::size_t i = 0; i < got; ++i) in_order &= buf[i] == expect++;
+      count_consumed += got;
+    }
+  });
+
+  std::uint64_t burst[97];
+  std::mt19937_64 rng(5);
+  for (std::uint64_t next = 0; next < total;) {
+    std::size_t n = 1 + rng() % 97;
+    if (n > total - next) n = static_cast<std::size_t>(total - next);
+    for (std::size_t i = 0; i < n; ++i) burst[i] = next + i;
+    std::size_t pushed = 0;
+    while (pushed < n) {
+      pushed += r.push_batch(burst + pushed, n - pushed);
+      if (pushed < n) std::this_thread::yield();
+    }
+    next += n;
+  }
+  consumer.join();
+  EXPECT_EQ(count_consumed, total);
+  EXPECT_TRUE(in_order) << "out-of-order or corrupted item";
 }
 
 }  // namespace

@@ -18,7 +18,9 @@
 #include "qmax/qmax.hpp"
 #include "qmax/sliding.hpp"
 #include "qmax/time_sliding.hpp"
+#include "vswitch/multi_pmd.hpp"
 #include "vswitch/ring_buffer.hpp"
+#include "vswitch/vswitch.hpp"
 
 namespace {
 
@@ -149,6 +151,22 @@ TEST(Validation, SpscRingConstructor) {
   using qmax::vswitch::SpscRing;
   EXPECT_THROW(SpscRing<int>(0), std::invalid_argument);
   EXPECT_NO_THROW(SpscRing<int>(1));  // rounds up to the minimum capacity
+}
+
+TEST(Validation, VirtualSwitchConstructor) {
+  // A zero rx burst would never advance the PMD poll loop.
+  using qmax::vswitch::MultiPmdConfig;
+  using qmax::vswitch::MultiPmdSwitch;
+  using qmax::vswitch::SwitchConfig;
+  using qmax::vswitch::VirtualSwitch;
+  SwitchConfig cfg;
+  cfg.rx_burst = 0;
+  expect_throws_naming("VirtualSwitch", [&] { VirtualSwitch sw(cfg); });
+  MultiPmdConfig multi;
+  multi.per_pmd = cfg;
+  expect_throws_naming("VirtualSwitch", [&] { MultiPmdSwitch sw(multi); });
+  cfg.rx_burst = 1;
+  EXPECT_NO_THROW(VirtualSwitch{cfg});
 }
 
 }  // namespace

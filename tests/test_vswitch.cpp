@@ -5,6 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <span>
+#include <thread>
+#include <vector>
 
 #include "qmax/qmax.hpp"
 #include "trace/synthetic.hpp"
@@ -15,6 +20,15 @@ using namespace qmax::vswitch;
 using qmax::trace::MinSizePacketGenerator;
 using qmax::trace::PacketRecord;
 using qmax::trace::take_packets;
+
+/// A slow consumer's first record waits long enough for the PMD to fill a
+/// small ring. The per-record busy loop alone does not guarantee that:
+/// under a sanitizer the PMD slows down more than the loop does.
+void hold_first_record(const std::atomic<std::uint64_t>& received) {
+  if (received.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+}
 
 TEST(VirtualSwitch, ForwardsEverythingWithDefaultRules) {
   VirtualSwitch sw;
@@ -78,6 +92,66 @@ TEST(VirtualSwitch, MonitorReceivesEveryPacketInOrder) {
   EXPECT_EQ(res.records_dropped, 0u);
 }
 
+TEST(VirtualSwitch, MonitorGetsEveryRecordOnceAcrossBurstEdges) {
+  // The PMD publishes once per rx burst, so the last, partial burst must
+  // be published too. Both consumer shapes see every record exactly once.
+  const std::size_t burst = SwitchConfig{}.rx_burst;
+  for (const std::size_t count : {std::size_t{1}, burst - 1, burst + 1,
+                                  std::size_t{10'007}}) {
+    VirtualSwitch sw;
+    sw.install_default_rules();
+    MinSizePacketGenerator gen(1'000, 11);
+    const auto packets = take_packets(gen, count);
+
+    std::vector<std::uint64_t> ids;
+    const auto res = sw.forward_monitored(packets, [&](const MonitorRecord& r) {
+      ids.push_back(r.packet_id);
+    });
+    std::vector<std::uint64_t> batched;
+    const auto res2 = sw.forward_monitored(
+        packets, [&](std::span<const MonitorRecord> recs) {
+          for (const auto& r : recs) batched.push_back(r.packet_id);
+        });
+
+    std::vector<std::uint64_t> want;
+    for (const auto& p : packets) want.push_back(p.packet_id);
+    EXPECT_EQ(ids, want) << count << " packets, per-record consumer";
+    EXPECT_EQ(batched, want) << count << " packets, batch consumer";
+    for (const RunResult& r : {res, res2}) {
+      EXPECT_EQ(r.packets, count);
+      EXPECT_EQ(r.records_dropped, 0u);
+      EXPECT_EQ(r.records_drained, count);
+    }
+  }
+}
+
+TEST(VirtualSwitch, BurstLargerThanRingPublishesBeforeWaiting) {
+  // A 256-record burst cannot fit a 64-slot ring. The PMD must publish
+  // what fits before it waits, or it waits forever on a consumer that
+  // has nothing to drain.
+  SwitchConfig cfg;
+  cfg.rx_burst = 256;
+  cfg.ring_capacity = 64;
+  cfg.policy = OverloadPolicy::kBackpressure;
+  VirtualSwitch sw(cfg);
+  sw.install_default_rules();
+  MinSizePacketGenerator gen(1'000, 12);
+  const auto packets = take_packets(gen, 20'000);
+
+  std::uint64_t expected_pid = packets.front().packet_id;
+  bool in_order = true;
+  std::uint64_t received = 0;
+  const auto res = sw.forward_monitored(packets, [&](const MonitorRecord& r) {
+    in_order &= r.packet_id == expected_pid++;
+    ++received;
+  });
+  EXPECT_EQ(received, 20'000u);
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(res.records_dropped, 0u);
+  EXPECT_GT(res.backpressure_stalls, 0u) << "every burst overfills the ring";
+  EXPECT_LE(res.ring_occupancy_max, res.ring_capacity);
+}
+
 TEST(VirtualSwitch, BackpressureThrottlesSlowConsumer) {
   SwitchConfig cfg;
   cfg.ring_capacity = 256;  // tiny ring so pressure builds fast
@@ -88,6 +162,7 @@ TEST(VirtualSwitch, BackpressureThrottlesSlowConsumer) {
 
   std::atomic<std::uint64_t> received{0};
   const auto res = sw.forward_monitored(packets, [&](const MonitorRecord& r) {
+    hold_first_record(received);
     // Artificially slow consumer: burn some cycles per record.
     volatile std::uint64_t sink = 0;
     for (int i = 0; i < 200; ++i) sink = sink + r.length * i;
@@ -109,6 +184,7 @@ TEST(VirtualSwitch, DropModeLosesRecordsButNotPackets) {
 
   std::atomic<std::uint64_t> received{0};
   const auto res = sw.forward_monitored(packets, [&](const MonitorRecord& r) {
+    hold_first_record(received);
     volatile std::uint64_t sink = 0;
     for (int i = 0; i < 500; ++i) sink = sink + r.length * i;
     received.fetch_add(1, std::memory_order_relaxed);
