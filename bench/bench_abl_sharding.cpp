@@ -11,11 +11,11 @@
 //
 // Single-core honesty: CI containers for this repo typically expose ONE
 // core, where S threads time-share and wall-clock MPPS cannot exceed the
-// single-shard rate. Every parallel case therefore reports two counters:
-//   MPPS          — wall-clock (meaningful only with ≥S cores)
-//   modeled_MPPS  — items / busiest thread's CPU time (ThreadCpuStopwatch):
-//                   the rate this layout sustains when each thread owns a
-//                   core. This is the scaling signal EXPERIMENTS.md quotes.
+// single-shard rate. Every case reports wall-clock MPPS (meaningful only
+// with ≥S cores); direct cases also report a diagnostic
+//   modeled_MPPS  — items / busiest writer's CPU time (ThreadCpuStopwatch):
+//                   the rate this layout would sustain if each writer
+//                   owned a core. It is never a headline rate.
 // Also reported: merge-on-query cost (merge_ms) and the broadcast gauges
 // (per-shard Ψ, folds, publishes, tightened rejections — the latter only
 // counts with -DQMAX_TELEMETRY=ON).
@@ -185,7 +185,6 @@ void run_pipeline_case(benchmark::State& state, std::size_t pmds,
     auto top = r.query();
     benchmark::DoNotOptimize(top);
     state.counters["MPPS"] = res.aggregate_mpps();
-    state.counters["modeled_MPPS"] = res.modeled_consumer_mpps();
     state.counters["pmd_skew"] = res.pmd_skew();
     state.counters["stalls"] = static_cast<double>(res.total_stalls());
     if (metrics_enabled() && !current_case().empty()) {
@@ -193,7 +192,6 @@ void run_pipeline_case(benchmark::State& state, std::size_t pmds,
       cm.bind("sharded", r);
       snapshot_shard_gauges(cm, r);
       cm.add_value("aggregate_mpps", res.aggregate_mpps());
-      cm.add_value("modeled_consumer_mpps", res.modeled_consumer_mpps());
       cm.add_value("pmd_skew", res.pmd_skew());
       cm.add_value("min_pmd_mpps", res.min_pmd_mpps());
       cm.add_value("max_pmd_mpps", res.max_pmd_mpps());

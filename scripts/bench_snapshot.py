@@ -40,8 +40,6 @@ BENCH_BLOBS = [
     ("abl_sharding.json", "abl_sharding", True),
     # Durability overhead (PR 8+); absent in snapshots recorded earlier.
     ("abl_snapshot.json", "abl_snapshot", False),
-    # Lock-free multi-writer ablation (PR 10+).
-    ("abl_concurrent.json", "abl_concurrent", False),
 ]
 
 THROUGHPUT_RE = re.compile(r"(mpps|gain|speedup|vs_)", re.IGNORECASE)

@@ -2,10 +2,10 @@
 # Record one point on the cross-PR perf trajectory.
 #
 # Runs the pinned smoke suite (bench_tab01_speedups, bench_abl_batch,
-# bench_abl_sharding --smoke, bench_abl_concurrent --smoke,
-# bench_abl_snapshot), collects each binary's QMAX_METRICS_OUT blob, and
-# stitches them into BENCH_<n>.json at the repo root via
-# scripts/bench_snapshot.py (n = 1 + the highest existing snapshot).
+# bench_abl_sharding --smoke, bench_abl_snapshot), collects each
+# binary's QMAX_METRICS_OUT blob, and stitches them into BENCH_<n>.json
+# at the repo root via scripts/bench_snapshot.py (n = 1 + the highest
+# existing snapshot).
 #
 # Usage:
 #   scripts/bench_snapshot.sh [build-dir] [trace-build-dir]
@@ -41,7 +41,7 @@ export QMAX_BENCH_REPS="${QMAX_SNAPSHOT_REPS:-2}"
 unset QMAX_BENCH_LARGE QMAX_TRACE_OUT 2>/dev/null || true
 
 for bin in bench_tab01_speedups bench_abl_batch bench_abl_sharding \
-           bench_abl_concurrent bench_abl_snapshot; do
+           bench_abl_snapshot; do
   if [ ! -x "$BUILD_DIR/bench/$bin" ]; then
     echo "error: $BUILD_DIR/bench/$bin not found (build the benches first)" >&2
     exit 2
@@ -56,9 +56,6 @@ QMAX_METRICS_OUT="$WORK/abl_batch.json" \
   "$BUILD_DIR/bench/bench_abl_batch" | tee "$WORK/abl_batch.txt"
 QMAX_METRICS_OUT="$WORK/abl_sharding.json" \
   "$BUILD_DIR/bench/bench_abl_sharding" --smoke | tee "$WORK/abl_sharding.txt"
-QMAX_METRICS_OUT="$WORK/abl_concurrent.json" \
-  "$BUILD_DIR/bench/bench_abl_concurrent" --smoke \
-  | tee "$WORK/abl_concurrent.txt"
 QMAX_METRICS_OUT="$WORK/abl_snapshot.json" \
   "$BUILD_DIR/bench/bench_abl_snapshot" | tee "$WORK/abl_snapshot.txt"
 

@@ -26,9 +26,8 @@ class Stopwatch {
 
 /// Whether this platform has a working per-thread CPU clock, probed once
 /// at runtime (a compile-time CLOCK_THREAD_CPUTIME_ID can still fail at
-/// runtime under emulation or restricted sandboxes). Consumers that
-/// derive CPU-time-based rates (MultiRunResult::modeled_consumer_mpps)
-/// check this so wall-clock fallback readings are never silently passed
+/// runtime under emulation or restricted sandboxes). ThreadCpuStopwatch
+/// checks this so a wall-clock fallback reading is never silently passed
 /// off as CPU time.
 [[nodiscard]] inline bool thread_cputime_supported() noexcept {
 #if defined(CLOCK_THREAD_CPUTIME_ID)

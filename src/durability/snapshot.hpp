@@ -13,6 +13,22 @@
 //       24     8  CRC-64/XZ of the payload (u64)
 //       32     …  payload: the Writer archive T::serialize_state produced
 //
+// Variant tags. The top byte names the container; wrappers keep the low
+// 24 bits of the tag of the reservoir they wrap:
+//
+//   0x01 WW MM  ReservoirCore compositions (QMax, AmortizedQMax, ...):
+//               WW = window policy, MM = maintenance policy
+//   0x02 | R    SlackQMax<R>
+//   0x03 | R    TimeSlackQMax<R>
+//   0x04 | R    ExpDecayQMax<R>
+//   0x05 | R    ShardedQMax<R>
+//   0x06000000  LrfuQMaxCache
+//   0x07000000  LrfuQMaxCacheDeamortized
+//
+// Retired: 0x06 | R was the lock-free multi-writer ConcurrentQMax<R>,
+// since removed. Its images share a top byte with LrfuQMaxCache but never
+// equal its tag, so validate_image refuses them like any foreign tag.
+//
 // Restore order is validate-then-apply: magic, version range, tag,
 // declared size vs actual bytes, and checksum are all verified before a
 // single payload byte is parsed; the Reader archive then re-verifies
@@ -87,9 +103,8 @@ template <typename T>
   if (version < kMinSupportedVersion || version > kFormatVersion) {
     throw SnapshotError("snapshot: unsupported format version requested");
   }
-  // serialize_state is a read-only traversal on the save path (the one
-  // exception, ConcurrentQMax's quiescing drain, is idempotent, so the
-  // second pass writes the state the first pass sized); the non-const
+  // serialize_state is a read-only traversal on the save path, so the
+  // second pass writes the state the first pass sized; the non-const
   // signature exists because the identical field list mutates on load.
   T& src = const_cast<T&>(obj);
   Sizer sizer;

@@ -9,7 +9,6 @@
 #include "qmax/amortized_qmax.hpp"   // O(1) amortized variant
 #include "qmax/batch.hpp"            // batched-ingestion prefilter machinery
 #include "qmax/concepts.hpp"         // the Reservoir concept
-#include "qmax/concurrent.hpp"       // lock-free multi-writer reservoir
 #include "qmax/core.hpp"             // policy-based ReservoirCore engine
 #include "qmax/entry.hpp"            // item types
 #include "qmax/exp_decay.hpp"        // Section 5: exponential decay

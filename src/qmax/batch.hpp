@@ -323,10 +323,9 @@ class ScreenGovernor {
   static constexpr std::size_t kWindow = 4096;
   /// Until the governor has flipped once it decides on short windows, so
   /// a stream that rejects from the first item — a restored reservoir, a
-  /// shard tightened by the global-Ψ broadcast, a ConcurrentQMax writer
-  /// inheriting a published bound — engages the lane screen after ~1k
-  /// items instead of paying a full scalar window. Derived from existing
-  /// state (scalar + never switched), so snapshots are unaffected.
+  /// shard tightened by the global-Ψ broadcast — engages the lane screen
+  /// after ~1k items instead of paying a full scalar window. Derived from
+  /// existing state (scalar + never switched), so snapshots are unaffected.
   static constexpr std::size_t kWarmupWindow = 1024;
   static constexpr double kEnableRate = 0.90;
   static constexpr double kDisableRate = 0.80;

@@ -78,13 +78,12 @@ inline void partition_top(It first, std::size_t take, It last, Comp comp) {
                    std::move(comp));
 }
 
-/// Monotone CAS-max on a shared admission bound — the one publish
-/// primitive behind every cross-writer Ψ handoff (ShardedQMax's broadcast,
-/// ConcurrentQMax's writer screens). Raises `bound` to `v` unless another
-/// publisher already holds something at least as tight; relaxed ordering
-/// is sufficient because the bound is advisory-monotone (a stale read only
-/// delays tightening, it can never admit a wrong rejection). Returns true
-/// if this call raised the bound; `retries`, when provided, accumulates
+/// Monotone CAS-max on a shared admission bound — the publish primitive
+/// behind ShardedQMax's global-Ψ broadcast. Raises `bound` to `v` unless
+/// another publisher already holds something at least as tight; relaxed
+/// ordering is sufficient because the bound is advisory-monotone (a stale
+/// read only delays tightening, it can never admit a wrong rejection).
+/// Returns true if this call raised the bound; `retries`, when provided, accumulates
 /// the number of CAS attempts lost to concurrent publishers.
 template <typename V>
 inline bool atomic_fetch_max(std::atomic<V>& bound, V v,

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "qmax/amortized_qmax.hpp"
-#include "qmax/concurrent.hpp"
 #include "qmax/core.hpp"
 #include "qmax/entry.hpp"
 #include "qmax/exp_decay.hpp"
@@ -367,52 +366,6 @@ struct InvariantAccess {
     }
   }
 
-  // ---- ConcurrentQMax: buffer/reservoir conservation -----------------
-  // Writers must be quiescent (the same contract as query()). Verifies
-  // that every reported item is accounted for exactly once — screened
-  // out, still staged in a buffer, or handed into the core — that the
-  // published global Ψ never runs ahead of the core's own bound (it is
-  // only ever published FROM the core), and then audits the shared core.
-  template <typename Core>
-  static void audit(const ConcurrentQMax<Core>& r, AuditResult& a,
-                    const std::string& ctx = {}) {
-    std::uint64_t seen = r.base_seen_;
-    std::uint64_t screened = r.base_screened_;
-    std::uint64_t staged = r.base_buffered_;
-    std::uint64_t in_buffers = 0;
-    for (const auto& w : r.slots_) {
-      a.expect(w->seen == w->screened + w->buffered,
-               ctx + "slot accounting: seen != screened + buffered");
-      seen += w->seen;
-      screened += w->screened;
-      staged += w->buffered;
-      if (w->cur != nullptr) in_buffers += w->cur->items.size();
-      if (const auto* s = w->spare.load(std::memory_order_relaxed)) {
-        a.expect(s->items.empty(),
-                 ctx + "recycled spare buffer still carries items");
-      }
-    }
-    for (const auto* b =
-             r.pending_.load(std::memory_order_relaxed);
-         b != nullptr; b = b->next) {
-      in_buffers += b->items.size();
-    }
-    a.expect(seen == screened + staged,
-             ctx + "aggregate accounting: seen != screened + staged");
-    a.expect(staged == r.ingested_ + in_buffers,
-             ctx + "conservation: staged items (" + std::to_string(staged) +
-                 ") != ingested (" + std::to_string(r.ingested_) +
-                 ") + in buffers (" + std::to_string(in_buffers) + ")");
-    a.expect(r.core_.admitted() <= r.ingested_,
-             ctx + "core admitted more items than were handed off");
-    a.expect(r.core_.processed() == r.ingested_,
-             ctx + "core processed-count disagrees with the handoff count");
-    const auto g = r.global_psi_.load(std::memory_order_relaxed);
-    a.expect(!(g > r.core_.threshold()),
-             ctx + "published global bound exceeds the core's bound");
-    audit(r.core_, a, ctx + "core: ");
-  }
-
   /// Audit a nested block: full white-box when the reservoir type is one
   /// of ours, a public-API smoke check otherwise.
   template <typename R>
@@ -441,14 +394,6 @@ struct InvariantAccess {
 template <typename VP, typename WP, typename MP>
 [[nodiscard]] AuditResult check_invariants(
     const core::ReservoirCore<VP, WP, MP>& r) {
-  AuditResult a;
-  InvariantAccess::audit(r, a);
-  return a;
-}
-
-/// Writers must be quiescent (joined or barriered), like query().
-template <typename Core>
-[[nodiscard]] AuditResult check_invariants(const ConcurrentQMax<Core>& r) {
   AuditResult a;
   InvariantAccess::audit(r, a);
   return a;

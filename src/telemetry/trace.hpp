@@ -71,8 +71,6 @@ enum class Stage : std::uint8_t {
   kRestore,         // durability: validate + load of a snapshot epoch
   kNetFrame,        // net: encode/decode + reassembly of one wire frame
   kNetMerge,        // net: controller merging one agent REPORT
-  kBufferHandoff,   // concurrent: maintenance owner ingesting one buffer
-  kPsiCas,          // concurrent: CAS-max publish of the tightened Ψ
   kCount
 };
 
@@ -98,8 +96,6 @@ inline constexpr std::size_t kStageCount =
     case Stage::kRestore: return "restore";
     case Stage::kNetFrame: return "net_frame";
     case Stage::kNetMerge: return "net_merge";
-    case Stage::kBufferHandoff: return "buffer_handoff";
-    case Stage::kPsiCas: return "psi_cas";
     case Stage::kCount: break;
   }
   return "?";

@@ -44,17 +44,6 @@ struct MultiRunResult {
   std::vector<RunResult> per_pmd;
   std::uint64_t packets = 0;
   double seconds = 0.0;  // wall-clock of the whole parallel section
-  /// Per-consumer CPU seconds (thread clock) spent on non-empty drains:
-  /// entry i is what consumer i actually burned draining + measuring.
-  /// forward_sharded fills one entry per ring, forward_monitored one for
-  /// its single monitor thread; empty for unmonitored runs.
-  std::vector<double> consumer_busy_seconds;
-  /// True iff consumer_busy_seconds was measured with a real per-thread
-  /// CPU clock (common::thread_cputime_supported()). False means the
-  /// entries are wall-clock fallback readings, so CPU-time-derived rates
-  /// (modeled_consumer_mpps) refuse to report rather than pass off
-  /// garbage; false also for unmonitored runs.
-  bool busy_time_valid = false;
 
   [[nodiscard]] double aggregate_mpps() const noexcept {
     return common::mops(packets, seconds);
@@ -86,20 +75,6 @@ struct MultiRunResult {
     const double lo = min_pmd_mpps();
     const double hi = max_pmd_mpps();
     return (per_pmd.size() > 1 && lo > 0.0) ? hi / lo : 1.0;
-  }
-  /// Measurement throughput modeled as records / busiest consumer's CPU
-  /// time: the rate this consumer fleet sustains when each thread owns a
-  /// core. On a single-core host wall-clock serializes the consumers and
-  /// aggregate_mpps() cannot show parallel speedup; CPU time can. 0 when
-  /// no monitored run filled the busy vector or the platform lacks a
-  /// per-thread CPU clock (busy_time_valid == false).
-  [[nodiscard]] double modeled_consumer_mpps() const noexcept {
-    if (!busy_time_valid) return 0.0;
-    double busiest = 0.0;
-    for (const double s : consumer_busy_seconds) {
-      if (s > busiest) busiest = s;
-    }
-    return busiest > 0.0 ? common::mops(total_drained(), busiest) : 0.0;
   }
   [[nodiscard]] double delivered_mpps(double line_rate_pps) const noexcept {
     const double dp = aggregate_mpps();
@@ -206,9 +181,6 @@ class MultiPmdSwitch {
   /// ShardedQMax behind the consumer this is the layout where shard i is
   /// single-writer by construction. Each ring remains SPSC and the only
   /// producer→consumer handoff beyond the ring itself is one done flag.
-  /// Fills res.consumer_busy_seconds with each consumer's thread-CPU
-  /// time spent on non-empty drains (idle polling excluded), the input
-  /// to MultiRunResult::modeled_consumer_mpps().
   template <typename Consumer>
   MultiRunResult forward_sharded(std::span<const trace::PacketRecord> packets,
                                  Consumer&& consume) {
@@ -220,36 +192,6 @@ class MultiPmdSwitch {
     return run_monitored(
         packets, pmds_.size(),
         [&](std::size_t j) -> MonitorTelemetry& { return *shard_mon_tm_[j]; },
-        consume);
-  }
-
-  /// Concurrent measurement pipeline: M consumer threads over N rings,
-  /// all feeding ONE shared reservoir through its any-thread add path
-  /// (ConcurrentQMax). Consumer j drains exactly the rings i with
-  /// i mod M == j, so every ring keeps a single consumer and stays SPSC;
-  /// unlike forward_sharded the consumer count is decoupled from the PMD
-  /// count — 8 PMDs can feed 2 measurement cores, or 2 PMDs feed 4.
-  /// `consume` is called as `consume(ring_index, record)` or, when it
-  /// accepts a span, `consume(ring_index, span)`; with a ConcurrentQMax
-  /// behind it each consumer thread owns a thread-local admission buffer
-  /// and no dispatch-by-key is needed. Fills one
-  /// res.consumer_busy_seconds entry per consumer thread.
-  template <typename Consumer>
-  MultiRunResult forward_concurrent(
-      std::span<const trace::PacketRecord> packets,
-      std::size_t consumer_threads, Consumer&& consume) {
-    const std::size_t n = pmds_.size();
-    const std::size_t m =
-        consumer_threads == 0 ? 1 : (consumer_threads < n ? consumer_threads
-                                                          : n);
-    // One MonitorTelemetry per consumer thread (not per ring): the
-    // instruments are single-writer plain fields.
-    while (conc_mon_tm_.size() < m) {
-      conc_mon_tm_.push_back(std::make_unique<MonitorTelemetry>());
-    }
-    return run_monitored(
-        packets, m,
-        [&](std::size_t j) -> MonitorTelemetry& { return *conc_mon_tm_[j]; },
         consume);
   }
 
@@ -270,19 +212,6 @@ class MultiPmdSwitch {
   }
   void reset_shard_monitor_telemetry() noexcept {
     for (auto& tm : shard_mon_tm_) tm->reset();
-  }
-
-  /// Per-consumer instruments from forward_concurrent runs (empty until
-  /// the first such run; entry j is written only by consumer thread j).
-  [[nodiscard]] std::size_t concurrent_monitor_count() const noexcept {
-    return conc_mon_tm_.size();
-  }
-  [[nodiscard]] const MonitorTelemetry& concurrent_monitor_telemetry(
-      std::size_t j) const {
-    return *conc_mon_tm_.at(j);
-  }
-  void reset_concurrent_monitor_telemetry() noexcept {
-    for (auto& tm : conc_mon_tm_) tm->reset();
   }
 
   /// Forward without monitoring (the vanilla baseline).
@@ -307,10 +236,11 @@ class MultiPmdSwitch {
   }
 
  private:
-  /// The monitored pipeline behind every forward_* entry point: one PMD
-  /// thread per ring and `m` consumer threads, consumer j draining rings
-  /// j, j + m, ... with `tm(j)` as its instruments, so each ring keeps a
-  /// single consumer and stays SPSC.
+  /// The monitored pipeline behind forward_monitored (m = 1: one consumer
+  /// drains every ring) and forward_sharded (m = n: consumer j drains ring
+  /// j): one PMD thread per ring and `m` consumer threads, consumer j
+  /// draining rings j, j + m, ... with `tm(j)` as its instruments, so each
+  /// ring keeps a single consumer and stays SPSC.
   template <typename Telemetry, typename Consumer>
   MultiRunResult run_monitored(std::span<const trace::PacketRecord> packets,
                                std::size_t m, Telemetry&& tm,
@@ -332,8 +262,6 @@ class MultiPmdSwitch {
     MultiRunResult res;
     res.per_pmd.resize(n);
     res.packets = packets.size();
-    res.consumer_busy_seconds.assign(m, 0.0);
-    res.busy_time_valid = common::thread_cputime_supported();
     std::vector<std::atomic<bool>> done(n);
     // Written once per ring as its consumer exits; published after join.
     std::vector<detail::DrainGauges> gauges(n);
@@ -356,7 +284,7 @@ class MultiPmdSwitch {
             [&](std::size_t i) {
               return done[i].load(std::memory_order_acquire);
             },
-            consume, tm(j), gauges.data(), &res.consumer_busy_seconds[j]);
+            consume, tm(j), gauges.data());
       });
     }
 
@@ -374,7 +302,6 @@ class MultiPmdSwitch {
   std::vector<std::unique_ptr<VirtualSwitch>> pmds_;
   [[no_unique_address]] MonitorTelemetry mon_tm_;
   std::vector<std::unique_ptr<MonitorTelemetry>> shard_mon_tm_;
-  std::vector<std::unique_ptr<MonitorTelemetry>> conc_mon_tm_;
 };
 
 }  // namespace qmax::vswitch

@@ -8,7 +8,7 @@
 // an SPSC shared-memory ring consumed by a measurement thread. A burst's
 // records are staged locally and published with one push_batch, so the
 // handoff costs one transfer of the ring's head line per burst, not per
-// packet (DESIGN.md §4.8).
+// packet (DESIGN.md §4.7).
 //
 // Throughput semantics: with backpressure enabled (default, matching the
 // paper's observed behaviour) the PMD blocks when the ring is full, so a
@@ -281,20 +281,16 @@ struct DrainGauges {
 /// `consume(i, span)` or per record to `consume(i, record)`. Occupancy is
 /// read from pop_batch's own head snapshot, so a round loads a producer's
 /// index line at most once. Gauges accumulate in locals and land in
-/// gauges[i] at exit; `busy`, when set, receives the thread-CPU seconds
-/// spent on non-empty drains.
+/// gauges[i] at exit.
 template <typename Rings, typename Done, typename Consumer>
 void drain_rings(const Rings& rings, std::size_t first, std::size_t stride,
                  Done&& done, Consumer& consume, MonitorTelemetry& tm,
-                 DrainGauges* gauges, double* busy) {
+                 DrainGauges* gauges) {
   std::vector<DrainGauges> local(rings.size());
   MonitorRecord batch[kDrainBatch];
-  common::ThreadCpuStopwatch cpu;
-  double busy_s = 0.0;
   for (;;) {
     bool any = false;
     for (std::size_t i = first; i < rings.size(); i += stride) {
-      if (busy != nullptr) cpu.reset();
       std::size_t occ = 0;
       const std::size_t got = rings[i]->pop_batch(batch, kDrainBatch, occ);
       if (got == 0) continue;
@@ -308,7 +304,6 @@ void drain_rings(const Rings& rings, std::size_t first, std::size_t stride,
           for (std::size_t k = 0; k < got; ++k) consume(i, batch[k]);
         }
       }
-      if (busy != nullptr) busy_s += cpu.seconds();
       DrainGauges& g = local[i];
       ++g.batches;
       g.drained += got;
@@ -331,7 +326,6 @@ void drain_rings(const Rings& rings, std::size_t first, std::size_t stride,
   for (std::size_t i = first; i < rings.size(); i += stride) {
     gauges[i] = local[i];
   }
-  if (busy != nullptr) *busy = busy_s;
 }
 
 }  // namespace detail
@@ -388,7 +382,7 @@ class VirtualSwitch {
           [&](std::size_t) {
             return producer_done.load(std::memory_order_acquire);
           },
-          unindexed, mon_tm_, &gauges, nullptr);
+          unindexed, mon_tm_, &gauges);
     });
 
     RunResult res;

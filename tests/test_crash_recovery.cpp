@@ -27,7 +27,6 @@
 #include "cache/lrfu_qmax_deamortized.hpp"
 #include "common/fault.hpp"
 #include "qmax/amortized_qmax.hpp"
-#include "qmax/concurrent.hpp"
 #include "qmax/exp_decay.hpp"
 #include "qmax/invariants.hpp"
 #include "qmax/qmax.hpp"
@@ -39,7 +38,6 @@
 namespace {
 
 using qmax::AmortizedQMax;
-using qmax::ConcurrentQMax;
 using qmax::ExpDecayQMax;
 using qmax::QMax;
 using qmax::SampledQMax;
@@ -311,26 +309,6 @@ TEST(CrashRecovery, ShardedQMax) {
         [](SH& r, std::uint64_t i) { r.add(i % kShards, i, val_at(i)); },
         [](const SH& r) { return r.processed(); },
         [](const SH& r) { return fingerprint(r); }, kill, 25);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(CrashRecovery, ConcurrentQMax) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built without QMAX_FAULT_INJECTION";
-  using CQ = ConcurrentQMax<>;
-  // Tiny buffers so checkpoints land with staged items in flight; the
-  // quiesced snapshot drains them, and processed() (base counters folded
-  // on restore) tells the replay where to resume.
-  for (const Kill kill : kAllKills) {
-    run_kill_restore_replay(
-        "concurrent/" + kill_name(kill),
-        [] {
-          return std::make_unique<CQ>(64, typename CQ::Options{.gamma = 0.25},
-                                      48);
-        },
-        [](CQ& r, std::uint64_t i) { r.add(i, val_at(i)); },
-        [](const CQ& r) { return r.processed(); },
-        [](const CQ& r) { return fingerprint(r); }, kill, 25);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

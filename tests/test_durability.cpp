@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -22,7 +23,6 @@
 #include "cache/lrfu_qmax_deamortized.hpp"
 #include "durability/snapshot.hpp"
 #include "qmax/amortized_qmax.hpp"
-#include "qmax/concurrent.hpp"
 #include "qmax/exp_decay.hpp"
 #include "qmax/invariants.hpp"
 #include "qmax/qmax.hpp"
@@ -35,7 +35,6 @@
 namespace {
 
 using qmax::AmortizedQMax;
-using qmax::ConcurrentQMax;
 using qmax::ExpDecayQMax;
 using qmax::QMax;
 using qmax::SampledQMax;
@@ -220,37 +219,6 @@ TEST(SnapshotRoundTrip, ShardedQMax) {
       [](const SH& r) { return fingerprint(r); });
 }
 
-TEST(SnapshotRoundTrip, ConcurrentQMax) {
-  using CQ = ConcurrentQMax<>;
-  // Tiny buffers: the kCut checkpoint lands with both handed-off and
-  // partially-filled buffers in flight; save must drain them (quiesced
-  // snapshot) and the restored replica must continue exactly.
-  expect_restore_equals_fresh(
-      [] { return CQ(64, {.gamma = 0.25}, 48); },
-      [](CQ& r, std::uint64_t lo, std::uint64_t hi) {
-        for (std::uint64_t i = lo; i < hi; ++i) r.add(i, val_at(i));
-      },
-      [](const CQ& r) { return fingerprint(r); });
-}
-
-TEST(SnapshotRoundTrip, ConcurrentQMaxBufferedItemsSurvive) {
-  // Nothing has been handed off yet — every staged item lives only in
-  // the writer's partial buffer. The quiesced snapshot must carry them.
-  ConcurrentQMax<> src(8, {.gamma = 0.25}, 1u << 20);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    src.add(i, 1e6 + static_cast<double>(i));
-  }
-  ASSERT_EQ(src.handoffs(), 0u);
-  ASSERT_EQ(src.in_flight(), 8u);
-  const std::vector<std::byte> image = durability::snapshot(src);
-  ConcurrentQMax<> restored(8, {.gamma = 0.25}, 1u << 20);
-  durability::restore(restored, image);
-  EXPECT_EQ(restored.processed(), 8u);
-  EXPECT_EQ(restored.in_flight(), 0u);
-  EXPECT_EQ(fingerprint(restored), fingerprint(src));
-  EXPECT_EQ(restored.query().size(), 8u);
-}
-
 TEST(SnapshotRoundTrip, LrfuQMaxCache) {
   expect_restore_equals_fresh(
       [] { return LrfuQMaxCache<>(64, 0.99, 0.25); },
@@ -283,12 +251,60 @@ TEST(SnapshotRoundTrip, LrfuQMaxCacheDeamortized) {
       });
 }
 
+// ---- Image format ----------------------------------------------------
+
+/// The straightforward image build: payload from a plain growable Writer,
+/// header fields, bytewise CRC, payload copied behind the header. `tag`
+/// defaults to the writer's own; any other value mints an image whose
+/// only defect is the variant tag.
+template <typename T>
+[[nodiscard]] std::vector<std::byte> reference_image(
+    const T& obj, std::uint32_t version,
+    std::uint32_t tag = T::snapshot_tag()) {
+  durability::Writer w;
+  const_cast<T&>(obj).serialize_state(w, version);
+  const std::vector<std::byte> payload = w.take();
+  std::vector<std::byte> image(durability::kHeaderSize + payload.size());
+  const std::uint64_t magic = durability::kMagic;
+  const std::uint64_t size = payload.size();
+  const std::uint64_t crc = qmax::common::codec::crc_detail::crc64_bytewise(
+      payload.data(), payload.size());
+  std::memcpy(image.data() + 0, &magic, sizeof magic);
+  std::memcpy(image.data() + 8, &version, sizeof version);
+  std::memcpy(image.data() + 12, &tag, sizeof tag);
+  std::memcpy(image.data() + 16, &size, sizeof size);
+  std::memcpy(image.data() + 24, &crc, sizeof crc);
+  if (!payload.empty()) {
+    std::memcpy(image.data() + durability::kHeaderSize, payload.data(),
+                payload.size());
+  }
+  return image;
+}
+
 TEST(SnapshotImage, RejectsVariantTagMismatch) {
   QMax<> writer(64, 0.25);
   drive_reservoir(writer, 0, 1'000);
   const auto image = durability::snapshot(writer);
   AmortizedQMax<> other(64, 0.25);
   EXPECT_THROW(durability::restore(other, image), durability::SnapshotError);
+
+  // Retired tag: ConcurrentQMax<QMax<>> wrote 0x06 | (core tag & 0xFFFFFF).
+  // The type is gone; its images must be refused, including by
+  // LrfuQMaxCache, whose tag (0x06000000) shares the top byte.
+  constexpr std::uint32_t kRetiredConcurrentTag =
+      0x06000000u | (QMax<>::snapshot_tag() & 0x00FFFFFFu);
+  const auto retired = reference_image(writer, durability::kFormatVersion,
+                                       kRetiredConcurrentTag);
+  QMax<> qmax(64, 0.25);
+  EXPECT_THROW(durability::restore(qmax, retired), durability::SnapshotError);
+  ShardedQMax<QMax<>> sharded(4, 64, {.gamma = 0.25}, true);
+  EXPECT_THROW(durability::restore(sharded, retired),
+               durability::SnapshotError);
+  LrfuQMaxCache<> cache(64, 0.99, 0.25);
+  EXPECT_THROW(durability::restore(cache, retired), durability::SnapshotError);
+  // The tag is the minted image's only defect.
+  durability::restore(qmax, reference_image(writer, durability::kFormatVersion));
+  EXPECT_EQ(fingerprint(qmax), fingerprint(writer));
 }
 
 TEST(SnapshotImage, RejectsConfigMismatch) {
@@ -366,36 +382,9 @@ TEST(SnapshotImage, RejectsFutureVersion) {
 // ---- Image byte identity ---------------------------------------------
 //
 // snapshot() sizes the payload, writes it straight into the image and
-// checksums it in place. The image must be byte-for-byte the one the
-// straightforward build produces: payload from a plain growable Writer,
-// header fields, bytewise CRC, payload copied behind the header.
+// checksums it in place. The image must be byte-for-byte reference_image.
 
-template <typename T>
-[[nodiscard]] std::vector<std::byte> reference_image(const T& obj,
-                                                     std::uint32_t version) {
-  durability::Writer w;
-  const_cast<T&>(obj).serialize_state(w, version);
-  const std::vector<std::byte> payload = w.take();
-  std::vector<std::byte> image(durability::kHeaderSize + payload.size());
-  const std::uint64_t magic = durability::kMagic;
-  const std::uint32_t tag = T::snapshot_tag();
-  const std::uint64_t size = payload.size();
-  const std::uint64_t crc = qmax::common::codec::crc_detail::crc64_bytewise(
-      payload.data(), payload.size());
-  std::memcpy(image.data() + 0, &magic, sizeof magic);
-  std::memcpy(image.data() + 8, &version, sizeof version);
-  std::memcpy(image.data() + 12, &tag, sizeof tag);
-  std::memcpy(image.data() + 16, &size, sizeof size);
-  std::memcpy(image.data() + 24, &crc, sizeof crc);
-  if (!payload.empty()) {
-    std::memcpy(image.data() + durability::kHeaderSize, payload.data(),
-                payload.size());
-  }
-  return image;
-}
-
-/// Two identically driven instances — the save path may quiesce state
-/// (ConcurrentQMax drains its buffers), so each image is taken from an
+/// Two identically driven instances, so each image is taken from an
 /// object no other save has touched.
 template <typename Make, typename Drive>
 void expect_image_matches_reference(Make make, Drive drive) {
@@ -469,13 +458,6 @@ TEST(SnapshotImage, ByteIdenticalToReferenceForEveryVariant) {
         });
   }
   {
-    SCOPED_TRACE("ConcurrentQMax");
-    using CQ = ConcurrentQMax<>;
-    expect_image_matches_reference(
-        [] { return CQ(64, {.gamma = 0.25}, 48); },
-        drive_reservoir<CQ>);
-  }
-  {
     SCOPED_TRACE("LrfuQMaxCache");
     expect_image_matches_reference(
         [] { return LrfuQMaxCache<>(64, 0.99, 0.25); },
@@ -492,6 +474,21 @@ TEST(SnapshotImage, ByteIdenticalToReferenceForEveryVariant) {
           for (std::uint64_t i = lo; i < hi; ++i) c.access(key_at(i));
         });
   }
+  // One tag per composition: a shared tag would let one variant's image
+  // restore into another.
+  const std::vector<std::uint32_t> tags = {
+      QMax<>::snapshot_tag(),
+      AmortizedQMax<>::snapshot_tag(),
+      SampledQMax<>::snapshot_tag(),
+      SlackQMax<QMax<>>::snapshot_tag(),
+      TimeSlackQMax<QMax<>>::snapshot_tag(),
+      ExpDecayQMax<>::snapshot_tag(),
+      ShardedQMax<>::snapshot_tag(),
+      LrfuQMaxCache<>::snapshot_tag(),
+      LrfuQMaxCacheDeamortized<>::snapshot_tag()};
+  EXPECT_EQ(std::set<std::uint32_t>(tags.begin(), tags.end()).size(),
+            tags.size())
+      << "two variants share a snapshot tag";
 }
 
 /// A composition whose save traversal is not read-only: every save pass

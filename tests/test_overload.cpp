@@ -16,6 +16,7 @@
 
 #include "common/hash.hpp"
 #include "qmax/qmax.hpp"
+#include "slow_consumer.hpp"
 #include "trace/synthetic.hpp"
 
 namespace {
@@ -23,6 +24,7 @@ namespace {
 using namespace qmax::vswitch;
 using qmax::trace::MinSizePacketGenerator;
 using qmax::trace::take_packets;
+using qmax::vswitch::test_support::hold_first_record;
 
 /// The value a record contributes to the reservoir — must match what the
 /// switch's shed filter computes (SwitchConfig::record_value).
@@ -97,6 +99,7 @@ TEST(Overload, GracefulLadderEscalatesAndAccounts) {
 
   std::atomic<std::uint64_t> received{0};
   const auto res = sw.forward_monitored(packets, [&](const MonitorRecord& r) {
+    hold_first_record(received);
     volatile std::uint64_t sink = 0;
     for (int i = 0; i < 500; ++i) sink = sink + r.length * i;
     received.fetch_add(1, std::memory_order_relaxed);

@@ -407,7 +407,7 @@ TEST(FlightRecorder, StageSnapshotsCoverAllStagesEitherMode) {
   const auto snaps = tel::trace_stage_snapshots();
   ASSERT_EQ(snaps.size(), tel::kStageCount);
   EXPECT_STREQ(snaps.front().first, "add");
-  EXPECT_STREQ(snaps.back().first, "psi_cas");
+  EXPECT_STREQ(snaps.back().first, "net_merge");
 }
 
 #if QMAX_TRACE_ENABLED

@@ -5,13 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "qmax/qmax.hpp"
+#include "slow_consumer.hpp"
 #include "trace/synthetic.hpp"
 
 namespace {
@@ -20,15 +19,7 @@ using namespace qmax::vswitch;
 using qmax::trace::MinSizePacketGenerator;
 using qmax::trace::PacketRecord;
 using qmax::trace::take_packets;
-
-/// A slow consumer's first record waits long enough for the PMD to fill a
-/// small ring. The per-record busy loop alone does not guarantee that:
-/// under a sanitizer the PMD slows down more than the loop does.
-void hold_first_record(const std::atomic<std::uint64_t>& received) {
-  if (received.load(std::memory_order_relaxed) == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-}
+using qmax::vswitch::test_support::hold_first_record;
 
 TEST(VirtualSwitch, ForwardsEverythingWithDefaultRules) {
   VirtualSwitch sw;
