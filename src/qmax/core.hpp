@@ -83,18 +83,15 @@ inline void partition_top(It first, std::size_t take, It last, Comp comp) {
 /// another publisher already holds something at least as tight; relaxed
 /// ordering is sufficient because the bound is advisory-monotone (a stale
 /// read only delays tightening, it can never admit a wrong rejection).
-/// Returns true if this call raised the bound; `retries`, when provided, accumulates
-/// the number of CAS attempts lost to concurrent publishers.
+/// Returns true if this call raised the bound.
 template <typename V>
-inline bool atomic_fetch_max(std::atomic<V>& bound, V v,
-                             std::uint64_t* retries = nullptr) noexcept {
+inline bool atomic_fetch_max(std::atomic<V>& bound, V v) noexcept {
   V cur = bound.load(std::memory_order_relaxed);
   for (;;) {
     if (!(v > cur)) return false;
     if (bound.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
       return true;
     }
-    if (retries != nullptr) ++*retries;
   }
 }
 

@@ -27,6 +27,13 @@ std::optional<Action> ExactMatchCache::lookup(
   return std::nullopt;
 }
 
+std::optional<Action> ExactMatchCache::lookup(
+    const trace::FiveTuple& t, std::uint64_t key) const noexcept {
+  const Slot& s = slots_[key & mask_];
+  if (s.valid && s.tuple == t) return s.action;
+  return std::nullopt;
+}
+
 void ExactMatchCache::insert(const trace::FiveTuple& t, Action a) noexcept {
   Slot& s = slots_[tuple_hash(t) & mask_];
   s.tuple = t;

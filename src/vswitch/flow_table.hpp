@@ -57,6 +57,9 @@ class ExactMatchCache {
 
   [[nodiscard]] std::optional<Action> lookup(
       const trace::FiveTuple& t) const noexcept;
+  /// The same with the tuple's flow_key() already computed.
+  [[nodiscard]] std::optional<Action> lookup(const trace::FiveTuple& t,
+                                             std::uint64_t key) const noexcept;
   void insert(const trace::FiveTuple& t, Action a) noexcept;
   void clear() noexcept;
 
@@ -118,8 +121,12 @@ class FlowTable {
   }
 
   /// Full lookup path: EMC, then classifier (+EMC refill), else miss.
-  [[nodiscard]] std::optional<Action> lookup(const trace::FiveTuple& t) noexcept {
-    if (auto hit = emc_.lookup(t)) {
+  /// `key...` is empty or the tuple's flow_key() already computed (the
+  /// RSS queue filter has it), so the EMC probe does not hash again.
+  template <typename... Key>
+  [[nodiscard]] std::optional<Action> lookup(const trace::FiveTuple& t,
+                                             Key... key) noexcept {
+    if (auto hit = emc_.lookup(t, key...)) {
       ++emc_hits_;
       return hit;
     }

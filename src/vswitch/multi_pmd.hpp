@@ -5,10 +5,12 @@
 //
 // N PMD threads each own a flow table (OVS keeps a per-PMD EMC *and* a
 // per-PMD dpcls) and an SPSC monitor ring. Packets are dispatched to PMDs
-// by RSS (flow-key hash), preserving per-flow ordering. One measurement
-// thread — the user-space program — drains all rings round-robin and
-// feeds a single measurement algorithm; each ring stays single-producer /
-// single-consumer.
+// by RSS (flow-key hash), preserving per-flow ordering: every PMD polls
+// the caller's whole input and handles only its own receive queue, the
+// packets whose rss_queue() index is its own, so no per-PMD copy of the
+// input is made. One measurement thread — the user-space program — drains
+// all rings round-robin and feeds a single measurement algorithm; each
+// ring stays single-producer / single-consumer.
 //
 // Throughput semantics match VirtualSwitch: with backpressure on, a slow
 // measurement consumer stalls whichever PMD fills its ring, dragging
@@ -23,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/hash.hpp"
 #include "common/timer.hpp"
 #include "vswitch/vswitch.hpp"
 
@@ -49,8 +50,10 @@ struct MultiRunResult {
     return common::mops(packets, seconds);
   }
   /// Slowest / fastest individual PMD datapath rate: how lopsided the RSS
-  /// partition left the producers. (Each PMD's own wall time, so on a
-  /// time-shared host these rank PMDs against each other, not the wire.)
+  /// partition left the producers. (Each PMD's own wall time, which
+  /// includes skipping the other PMDs' packets of the shared input, so on
+  /// a time-shared host these rank PMDs against each other, not the
+  /// wire.)
   [[nodiscard]] double min_pmd_mpps() const noexcept {
     double m = 0.0;
     bool first = true;
@@ -148,18 +151,11 @@ class MultiPmdSwitch {
   [[nodiscard]] std::size_t pmd_count() const noexcept { return pmds_.size(); }
   [[nodiscard]] VirtualSwitch& pmd(std::size_t i) { return *pmds_.at(i); }
 
-  /// RSS dispatch: which PMD owns this packet's flow. Real NIC RSS runs
-  /// Toeplitz over the 5-tuple; we model it by finalizer-mixing the flow
-  /// key (so low-entropy key bits spread over the whole word) and mapping
-  /// to a PMD via Lemire fastrange, which unlike `% n` consumes the
-  /// well-mixed HIGH bits. Per-flow stability is preserved: the index is
-  /// a pure function of the flow key.
+  /// RSS dispatch: which PMD owns this packet's flow (rss_queue over the
+  /// flow key). PMD i's receive queue is the packets this maps to i.
   [[nodiscard]] std::size_t rss(const trace::PacketRecord& p) const noexcept {
-    const std::uint64_t key = p.tuple.flow_key();
-    if (cfg_.legacy_rss_modulo) return key % pmds_.size();
-    __extension__ using u128 = unsigned __int128;
-    const auto h = static_cast<u128>(common::mix64(key));
-    return static_cast<std::size_t>((h * pmds_.size()) >> 64);
+    return rss_queue(p.tuple.flow_key(), pmds_.size(),
+                     cfg_.legacy_rss_modulo);
   }
 
   /// Forward with a single measurement consumer draining every PMD's
@@ -217,9 +213,6 @@ class MultiPmdSwitch {
   /// Forward without monitoring (the vanilla baseline).
   MultiRunResult forward(std::span<const trace::PacketRecord> packets) {
     const std::size_t n = pmds_.size();
-    std::vector<std::vector<trace::PacketRecord>> shards(n);
-    for (const auto& p : packets) shards[rss(p)].push_back(p);
-
     MultiRunResult res;
     res.per_pmd.resize(n);
     res.packets = packets.size();
@@ -227,7 +220,8 @@ class MultiPmdSwitch {
     std::vector<std::thread> pmd_threads;
     for (std::size_t i = 0; i < n; ++i) {
       pmd_threads.emplace_back([&, i] {
-        pmds_[i]->run_datapath(shards[i], nullptr, res.per_pmd[i]);
+        pmds_[i]->run_datapath(packets, rx_queue(i), nullptr,
+                               res.per_pmd[i]);
       });
     }
     for (auto& t : pmd_threads) t.join();
@@ -236,6 +230,10 @@ class MultiPmdSwitch {
   }
 
  private:
+  [[nodiscard]] RxQueue rx_queue(std::size_t i) const noexcept {
+    return {i, pmds_.size(), cfg_.legacy_rss_modulo};
+  }
+
   /// The monitored pipeline behind forward_monitored (m = 1: one consumer
   /// drains every ring) and forward_sharded (m = n: consumer j drains ring
   /// j): one PMD thread per ring and `m` consumer threads, consumer j
@@ -246,12 +244,6 @@ class MultiPmdSwitch {
                                std::size_t m, Telemetry&& tm,
                                Consumer& consume) {
     const std::size_t n = pmds_.size();
-    // RSS partition (outside the timed section, like the packet
-    // generators: the NIC does this in hardware).
-    std::vector<std::vector<trace::PacketRecord>> shards(n);
-    for (auto& s : shards) s.reserve(packets.size() / n + 1);
-    for (const auto& p : packets) shards[rss(p)].push_back(p);
-
     std::vector<std::unique_ptr<SpscRing<MonitorRecord>>> rings;
     rings.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -271,7 +263,8 @@ class MultiPmdSwitch {
     pmd_threads.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       pmd_threads.emplace_back([&, i] {
-        pmds_[i]->run_datapath(shards[i], rings[i].get(), res.per_pmd[i]);
+        pmds_[i]->run_datapath(packets, rx_queue(i), rings[i].get(),
+                               res.per_pmd[i]);
         done[i].store(true, std::memory_order_release);
       });
     }

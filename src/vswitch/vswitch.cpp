@@ -31,12 +31,14 @@ void VirtualSwitch::install_default_rules(std::uint32_t buckets) {
 RunResult VirtualSwitch::forward(std::span<const trace::PacketRecord> packets) {
   RunResult res;
   common::Stopwatch sw;
-  pmd_loop(packets, nullptr, res);
+  pmd_loop<false>(packets, {}, nullptr, res);
   res.seconds = sw.seconds();
   return res;
 }
 
+template <bool kFiltered>
 void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
+                             [[maybe_unused]] RxQueue rxq,
                              SpscRing<MonitorRecord>* ring, RunResult& out) {
   // Count into a local copy and write it back once: `out` may sit on a
   // line the monitor or another PMD writes.
@@ -58,11 +60,23 @@ void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
       ring != nullptr && cfg_.policy != OverloadPolicy::kGraceful;
   std::vector<MonitorRecord> stage(staged ? burst : 0);
   while (i < n) {
-    const std::size_t end = i + burst < n ? i + burst : n;
+    std::size_t end = i + burst < n ? i + burst : n;
     std::size_t k = 0;
     for (; i < end; ++i) {
       const trace::PacketRecord& p = packets[i];
-      if (auto act = table_.lookup(p.tuple)) {
+      [[maybe_unused]] std::uint64_t key = 0;
+      if constexpr (kFiltered) {
+        // Another PMD's packet: skip it, and widen the burst so it still
+        // holds `burst` packets of this queue. An owned packet's key is
+        // reused for its EMC probe.
+        key = p.tuple.flow_key();
+        if (!rxq.owns(key)) {
+          if (end < n) ++end;
+          continue;
+        }
+      }
+      if (auto act = kFiltered ? table_.lookup(p.tuple, key)
+                               : table_.lookup(p.tuple)) {
         ++tx_counts_[act->out_port & 0xFF];
         ++res.forwarded;
       } else if (upcall_) {
@@ -105,6 +119,13 @@ void VirtualSwitch::pmd_loop(std::span<const trace::PacketRecord> packets,
   }
   out = res;
 }
+
+template void VirtualSwitch::pmd_loop<false>(
+    std::span<const trace::PacketRecord>, RxQueue, SpscRing<MonitorRecord>*,
+    RunResult&);
+template void VirtualSwitch::pmd_loop<true>(
+    std::span<const trace::PacketRecord>, RxQueue, SpscRing<MonitorRecord>*,
+    RunResult&);
 
 void VirtualSwitch::escalate(GracefulCtx& g, DegradeState to,
                              RunResult& res) noexcept {

@@ -27,6 +27,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/timer.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/histogram.hpp"
@@ -44,6 +45,35 @@ struct MonitorRecord {
   std::uint32_t src_ip = 0;
   std::uint32_t length = 0;
   std::uint64_t packet_id = 0;
+};
+
+/// RSS dispatch: which of `queues` receive queues owns a flow. Real NIC
+/// RSS runs Toeplitz over the 5-tuple; we model it by finalizer-mixing the
+/// flow key (so low-entropy key bits spread over the whole word) and
+/// mapping to a queue via Lemire fastrange, which unlike `% n` consumes
+/// the well-mixed HIGH bits. `legacy_modulo` selects the historical bare
+/// `flow_key % queues`. The index is a pure function of the flow key, so
+/// every packet of a flow lands on the same queue.
+[[nodiscard]] inline std::size_t rss_queue(std::uint64_t flow_key,
+                                           std::size_t queues,
+                                           bool legacy_modulo) noexcept {
+  if (legacy_modulo) return flow_key % queues;
+  __extension__ using u128 = unsigned __int128;
+  const auto h = static_cast<u128>(common::mix64(flow_key));
+  return static_cast<std::size_t>((h * queues) >> 64);
+}
+
+/// One PMD's receive queue over an input shared by `count` PMDs: the
+/// packets whose rss_queue() is `index`, in input order. The PMD filters
+/// them out of the shared input as it polls, so no per-PMD copy is made.
+struct RxQueue {
+  std::size_t index = 0;
+  std::size_t count = 1;
+  bool legacy_modulo = false;
+
+  [[nodiscard]] bool owns(std::uint64_t flow_key) const noexcept {
+    return rss_queue(flow_key, count, legacy_modulo) == index;
+  }
 };
 
 /// How the PMD reacts when the monitor ring is full.
@@ -387,7 +417,7 @@ class VirtualSwitch {
 
     RunResult res;
     common::Stopwatch sw;
-    pmd_loop(packets, &ring, res);
+    pmd_loop<false>(packets, {}, &ring, res);
     res.seconds = sw.seconds();
     producer_done.store(true, std::memory_order_release);
     monitor.join();
@@ -395,13 +425,20 @@ class VirtualSwitch {
     return res;
   }
 
-  /// Run the PMD loop against an externally owned ring (no monitor thread
-  /// is spawned). Building block for multi-PMD deployments where one
-  /// measurement program drains several per-PMD rings (see multi_pmd.hpp).
-  void run_datapath(std::span<const trace::PacketRecord> packets,
+  /// Run the PMD loop over receive queue `rxq` of a shared input, against
+  /// an externally owned ring (nullptr: unmonitored; no monitor thread is
+  /// spawned). Building block for multi-PMD deployments where each PMD
+  /// polls its own flows and one measurement program drains several
+  /// per-PMD rings (see multi_pmd.hpp). `res.seconds` includes skipping
+  /// the other queues' packets.
+  void run_datapath(std::span<const trace::PacketRecord> packets, RxQueue rxq,
                     SpscRing<MonitorRecord>* ring, RunResult& res) {
     common::Stopwatch sw;
-    pmd_loop(packets, ring, res);
+    if (rxq.count == 1) {
+      pmd_loop<false>(packets, rxq, ring, res);
+    } else {
+      pmd_loop<true>(packets, rxq, ring, res);
+    }
     res.seconds = sw.seconds();
   }
 
@@ -427,8 +464,12 @@ class VirtualSwitch {
     std::size_t watermark_slots = 0; // de-escalation occupancy threshold
   };
 
-  /// The PMD poll loop. `ring == nullptr` disables monitoring.
-  void pmd_loop(std::span<const trace::PacketRecord> packets,
+  /// The PMD poll loop. `ring == nullptr` disables monitoring. With
+  /// kFiltered the loop handles only the packets `rxq` owns, and an rx
+  /// burst is `rx_burst` of those; without it, every packet (rxq unused).
+  /// Defined and instantiated for both values in vswitch.cpp.
+  template <bool kFiltered>
+  void pmd_loop(std::span<const trace::PacketRecord> packets, RxQueue rxq,
                 SpscRing<MonitorRecord>* ring, RunResult& out);
 
   /// kGraceful enqueue of one record: shed/drop decisions, bounded

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "qmax/qmax.hpp"
@@ -18,7 +20,9 @@ namespace {
 
 using namespace qmax::vswitch;
 using qmax::trace::CaidaLikeGenerator;
+using qmax::trace::FiveTuple;
 using qmax::trace::MinSizePacketGenerator;
+using qmax::trace::PacketRecord;
 using qmax::trace::take_packets;
 
 TEST(MultiPmd, ZeroThreadsClampsToOne) {
@@ -122,6 +126,87 @@ TEST(MultiPmd, RssDispatchFormulasArePinned) {
   // The mixed dispatch must not starve any PMD on a realistic trace.
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_GT(mixed_load[i], 20'000u / 20) << "RSS starved PMD " << i;
+  }
+}
+
+TEST(MultiPmd, EachPmdGetsExactlyItsRssFlowsInOrder) {
+  // Every packet is a flow of its own, so with no rules installed each
+  // PMD upcalls once per packet of its queue, in queue order. The upcall
+  // for the PMD's j-th packet checks the burst boundary: records of the
+  // burst being polled are still staged, so the PMD's consumers can have
+  // received at most the floor(j / rx_burst) full bursts before it. A
+  // burst of rx_burst raw input packets instead of rx_burst of the PMD's
+  // own publishes early and breaks that bound.
+  constexpr std::size_t kPackets = 10'007;  // not a multiple of rx_burst
+  std::vector<PacketRecord> packets(kPackets);
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    PacketRecord& p = packets[i];
+    p.tuple.src_ip = 0x0a000000u + static_cast<std::uint32_t>(i);
+    p.tuple.dst_ip = 0xc0a80001u;
+    p.tuple.src_port = static_cast<std::uint16_t>(1024 + i % 4096);
+    p.tuple.dst_port = 443;
+    p.length = 64 + static_cast<std::uint32_t>(i % 1400);
+    p.packet_id = i;
+  }
+
+  enum class Mode { kMonitored, kSharded, kForward };
+  for (const std::size_t n : {1ul, 2ul, 3ul, 5ul}) {
+    for (const bool legacy : {false, true}) {
+      for (const std::size_t burst : {32ul, 1ul}) {
+        for (const Mode mode : {Mode::kMonitored, Mode::kSharded,
+                                Mode::kForward}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "pmds=" << n << " legacy=" << legacy
+                       << " rx_burst=" << burst
+                       << " mode=" << static_cast<int>(mode));
+          MultiPmdConfig cfg{.pmd_threads = n, .legacy_rss_modulo = legacy};
+          cfg.per_pmd.rx_burst = burst;
+          MultiPmdSwitch sw(cfg);
+          std::vector<std::vector<std::uint64_t>> expect(n);
+          for (const auto& p : packets) {
+            expect[sw.rss(p)].push_back(p.packet_id);
+          }
+
+          // Entry i is written by PMD i's consumer only; `received` is
+          // also read by PMD i's upcall.
+          std::vector<std::vector<std::uint64_t>> got(n);
+          std::vector<std::atomic<std::uint64_t>> received(n);
+          std::vector<std::uint64_t> polled(n, 0);  // PMD i's thread only
+          std::vector<std::uint8_t> early(n, 0);    // PMD i's thread only
+          for (std::size_t i = 0; i < n; ++i) {
+            sw.pmd(i).set_upcall_handler([&, i, burst](const FiveTuple&) {
+              const std::uint64_t j = polled[i]++;
+              std::this_thread::yield();  // give the consumer a chance
+              if (received[i].load(std::memory_order_acquire) >
+                  j / burst * burst) {
+                early[i] = 1;
+              }
+              return Action{};
+            });
+          }
+          auto consume = [&](std::size_t i, const MonitorRecord& r) {
+            got[i].push_back(r.packet_id);
+            received[i].fetch_add(1, std::memory_order_release);
+          };
+          const auto res =
+              mode == Mode::kMonitored ? sw.forward_monitored(packets, consume)
+              : mode == Mode::kSharded ? sw.forward_sharded(packets, consume)
+                                       : sw.forward(packets);
+          std::uint64_t sum = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            if (mode != Mode::kForward) {
+              EXPECT_EQ(got[i], expect[i]) << "ring " << i;
+            }
+            EXPECT_EQ(res.per_pmd[i].packets, expect[i].size()) << i;
+            EXPECT_EQ(polled[i], expect[i].size()) << "PMD " << i;
+            EXPECT_FALSE(early[i])
+                << "PMD " << i << " published before its burst was full";
+            sum += res.per_pmd[i].packets;
+          }
+          EXPECT_EQ(sum, kPackets);
+        }
+      }
+    }
   }
 }
 
